@@ -21,7 +21,7 @@
 use crate::error::CoreError;
 use edmac_mac::{BurstRegime, Deployment, Workload};
 use edmac_net::{NetError, RingModel, Topology};
-use edmac_phy::ChannelModel;
+use edmac_phy::{ChannelModel, UnitDisk};
 use edmac_radio::{FrameSizes, Radio};
 use edmac_sim::{BurstWindows, CoexNetwork, SimConfig, SimProtocol, Simulation, TrafficProfile};
 use edmac_units::{Hertz, Seconds};
@@ -389,11 +389,15 @@ impl Scenario {
             sample_period: self.traffic.sample_period(),
             ..config
         };
-        let sim = Simulation::build(
-            &topology,
+        let network = CoexNetwork {
+            topology: &topology,
+            protocol,
+        };
+        let sim = Simulation::new(
+            &[network],
+            &UnitDisk,
             Radio::cc2420(),
             FrameSizes::default(),
-            protocol,
             config,
         )
         .map_err(CoreError::Net)?;
@@ -522,11 +526,11 @@ impl CoexistenceScenario {
             .zip(protocols)
             .map(|(topology, &protocol)| CoexNetwork { topology, protocol })
             .collect();
-        Simulation::coexistence(
+        Simulation::new(
             &networks,
+            channel,
             Radio::cc2420(),
             FrameSizes::default(),
-            channel,
             config,
         )
         .map_err(CoreError::Net)

@@ -66,7 +66,7 @@ pub use concept::{
 pub use continuous::{nash_continuous, ContinuousBargain};
 pub use error::GameError;
 pub use fairness::proportional_ratios;
-pub use pareto::{lower_left_hull, pareto_filter};
+pub use pareto::pareto_filter;
 pub use point::CostPoint;
 pub use problem::{Bargain, BargainingProblem};
 pub use weighted::{weighted_nash_product, BargainingPower};

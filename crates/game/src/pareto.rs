@@ -1,4 +1,4 @@
-//! Pareto frontiers and lower-left convex hulls of cost-point clouds.
+//! Pareto frontiers of cost-point clouds.
 
 use crate::point::CostPoint;
 
@@ -51,39 +51,6 @@ pub fn pareto_filter(points: &[CostPoint]) -> Vec<CostPoint> {
     frontier
 }
 
-/// Returns the lower-left convex hull of `points`: the convex envelope
-/// of the Pareto frontier, sorted by increasing `x`.
-///
-/// The Nash Bargaining Solution is defined on a *convex* feasible set;
-/// for a sampled frontier the hull is the natural convexification (mixed
-/// strategies between sampled operating points).
-pub fn lower_left_hull(points: &[CostPoint]) -> Vec<CostPoint> {
-    let frontier = pareto_filter(points);
-    if frontier.len() <= 2 {
-        return frontier;
-    }
-    // Monotone-chain lower hull over points already sorted by x
-    // ascending (y is strictly decreasing along a Pareto frontier).
-    let mut hull: Vec<CostPoint> = Vec::with_capacity(frontier.len());
-    for p in frontier {
-        while hull.len() >= 2 {
-            let a = hull[hull.len() - 2];
-            let b = hull[hull.len() - 1];
-            // Keep b only if the path a -> b -> p turns left
-            // (cross > 0): that is the convex "valley" shape of a lower
-            // hull. A right turn means b sits above segment a-p.
-            let cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x);
-            if cross <= 0.0 {
-                hull.pop();
-            } else {
-                break;
-            }
-        }
-        hull.push(p);
-    }
-    hull
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,37 +94,5 @@ mod tests {
     fn equal_x_keeps_best_y() {
         let cloud = vec![CostPoint::new(1.0, 3.0), CostPoint::new(1.0, 2.0)];
         assert_eq!(pareto_filter(&cloud), vec![CostPoint::new(1.0, 2.0)]);
-    }
-
-    #[test]
-    fn hull_drops_non_convex_knee() {
-        // (2, 4.5) is Pareto-optimal but above the segment (1,5)-(5,1).
-        let cloud = vec![
-            CostPoint::new(1.0, 5.0),
-            CostPoint::new(2.0, 4.5),
-            CostPoint::new(5.0, 1.0),
-        ];
-        let hull = lower_left_hull(&cloud);
-        assert_eq!(
-            hull,
-            vec![CostPoint::new(1.0, 5.0), CostPoint::new(5.0, 1.0)]
-        );
-    }
-
-    #[test]
-    fn hull_keeps_convex_knee() {
-        let cloud = vec![
-            CostPoint::new(1.0, 5.0),
-            CostPoint::new(2.0, 2.0), // well below the segment: kept
-            CostPoint::new(5.0, 1.0),
-        ];
-        let hull = lower_left_hull(&cloud);
-        assert_eq!(hull.len(), 3);
-    }
-
-    #[test]
-    fn hull_of_two_points_is_identity() {
-        let cloud = vec![CostPoint::new(1.0, 2.0), CostPoint::new(2.0, 1.0)];
-        assert_eq!(lower_left_hull(&cloud), pareto_filter(&cloud));
     }
 }

@@ -12,23 +12,10 @@ pub enum OptimError {
         /// Upper endpoint as given.
         b: f64,
     },
-    /// A root-finder was given an interval whose endpoints do not
-    /// bracket a sign change.
-    NoSignChange {
-        /// Function value at the lower endpoint.
-        fa: f64,
-        /// Function value at the upper endpoint.
-        fb: f64,
-    },
     /// The objective returned NaN at the reported point.
     ObjectiveNaN {
         /// Where the objective failed.
         at: Vec<f64>,
-    },
-    /// The iteration budget was exhausted before reaching the tolerance.
-    NoConvergence {
-        /// Iterations performed.
-        iterations: usize,
     },
     /// No feasible point was found (all evaluated points violate the
     /// constraints).
@@ -52,14 +39,8 @@ impl std::fmt::Display for OptimError {
                     "invalid interval [{a}, {b}]: endpoints must be finite with a < b"
                 )
             }
-            OptimError::NoSignChange { fa, fb } => {
-                write!(f, "no sign change bracketed: f(a)={fa}, f(b)={fb}")
-            }
             OptimError::ObjectiveNaN { at } => {
                 write!(f, "objective returned NaN at {at:?}")
-            }
-            OptimError::NoConvergence { iterations } => {
-                write!(f, "no convergence after {iterations} iterations")
             }
             OptimError::Infeasible => write!(f, "no feasible point found"),
             OptimError::Dimension { expected, got } => {
@@ -79,8 +60,6 @@ mod tests {
     fn display_messages_are_specific() {
         let e = OptimError::InvalidInterval { a: 2.0, b: 1.0 };
         assert!(e.to_string().contains("[2, 1]"));
-        let e = OptimError::NoConvergence { iterations: 100 };
-        assert!(e.to_string().contains("100"));
         let e = OptimError::Dimension {
             expected: 2,
             got: 3,

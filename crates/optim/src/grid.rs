@@ -1,7 +1,7 @@
-//! Box bounds, grid sweeps and multistart refinement.
+//! Box bounds and grid sweeps.
 
 use crate::error::OptimError;
-use crate::nelder_mead::{NelderMead, SimplexMinimum};
+use crate::nelder_mead::SimplexMinimum;
 
 /// An axis-aligned box of valid parameter vectors.
 ///
@@ -150,69 +150,6 @@ pub fn grid_minimize<F: FnMut(&[f64]) -> f64>(
     best.ok_or(OptimError::Infeasible)
 }
 
-/// Global-then-local search: grid sweep, then Nelder–Mead refinement
-/// from the `starts` best grid cells.
-///
-/// # Errors
-///
-/// Propagates the underlying [`grid_minimize`] and
-/// [`NelderMead::minimize`] errors; returns [`OptimError::Infeasible`]
-/// if no finite value was ever seen.
-pub fn multistart<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    bounds: &Bounds,
-    points_per_dim: usize,
-    starts: usize,
-    local: NelderMead,
-) -> Result<SimplexMinimum, OptimError> {
-    if points_per_dim < 2 {
-        return Err(OptimError::Dimension {
-            expected: 2,
-            got: points_per_dim,
-        });
-    }
-    // Collect all finite grid points, keep the `starts` best.
-    let n = bounds.len();
-    let total = points_per_dim.pow(n as u32);
-    let mut cells: Vec<(Vec<f64>, f64)> = Vec::new();
-    let mut x = vec![0.0; n];
-    for flat in 0..total {
-        let mut rem = flat;
-        for (i, xi) in x.iter_mut().enumerate() {
-            let k = rem % points_per_dim;
-            rem /= points_per_dim;
-            *xi = bounds.lower(i) + bounds.width(i) * k as f64 / (points_per_dim - 1) as f64;
-        }
-        let v = f(&x);
-        if v.is_finite() {
-            cells.push((x.clone(), v));
-        }
-    }
-    if cells.is_empty() {
-        return Err(OptimError::Infeasible);
-    }
-    cells.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite values only"));
-    cells.truncate(starts.max(1));
-
-    let mut best: Option<SimplexMinimum> = None;
-    for (start, coarse_value) in cells {
-        let refined = local.minimize(&mut f, &start, bounds)?;
-        let candidate = if refined.value <= coarse_value {
-            refined
-        } else {
-            SimplexMinimum {
-                x: start,
-                value: coarse_value,
-                iterations: refined.iterations,
-            }
-        };
-        if best.as_ref().is_none_or(|b| candidate.value < b.value) {
-            best = Some(candidate);
-        }
-    }
-    best.ok_or(OptimError::Infeasible)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,31 +206,5 @@ mod tests {
             grid_minimize(|_| f64::NAN, &b, 11),
             Err(OptimError::Infeasible)
         ));
-    }
-
-    #[test]
-    fn multistart_escapes_local_minimum() {
-        // Double well with the deeper well at x = 2; a single local
-        // search from the wrong basin would stall at x = -2.
-        let f = |x: &[f64]| {
-            let t = x[0];
-            (t * t - 4.0).powi(2) + t
-        };
-        let b = Bounds::new(vec![(-4.0, 4.0)]).unwrap();
-        let m = multistart(f, &b, 17, 3, NelderMead::default()).unwrap();
-        assert!(
-            (m.x[0] + 2.03).abs() < 0.05,
-            "deeper well is near -2, got {}",
-            m.x[0]
-        );
-    }
-
-    #[test]
-    fn multistart_never_worse_than_its_grid() {
-        let f = |x: &[f64]| (x[0] - 0.123).powi(2);
-        let b = Bounds::new(vec![(0.0, 1.0)]).unwrap();
-        let grid = grid_minimize(f, &b, 9).unwrap();
-        let multi = multistart(f, &b, 9, 2, NelderMead::default()).unwrap();
-        assert!(multi.value <= grid.value);
     }
 }

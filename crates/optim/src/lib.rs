@@ -7,20 +7,15 @@
 //! None of the permitted dependencies provide a solver, so this crate
 //! implements the required numerics from scratch:
 //!
-//! * [`golden_section_min`] / [`brent_min`] — derivative-free scalar
-//!   minimization over an interval;
-//! * [`bisect_root`] / [`find_sign_change`] — root finding for
-//!   constraint-boundary inversion ("largest wake-up interval with
-//!   `L(X) ≤ Lmax`");
 //! * [`NelderMead`] — simplex minimization with box bounds for
 //!   multi-parameter protocols;
 //! * [`Penalty`] — exterior penalty wrapper turning constrained problems
 //!   into a sequence of unconstrained ones;
 //! * [`LogBarrier`] — interior-point maximizer for the concave (P4)
 //!   objective `log(Eworst − E) + log(Lworst − L)`;
-//! * [`grid_minimize`] / [`multistart`] — coarse global sweeps that seed
-//!   the local methods, guarding against the non-convexity the paper
-//!   notes in (P3) before its transform.
+//! * [`grid_minimize`] — a coarse global sweep that seeds the local
+//!   methods, guarding against the non-convexity the paper notes in
+//!   (P3) before its transform.
 //!
 //! Every solver is deterministic, allocation-light and returns a typed
 //! [`OptimError`] instead of silently returning garbage on bad input.
@@ -28,10 +23,11 @@
 //! # Examples
 //!
 //! ```
-//! use edmac_optim::{golden_section_min, Tolerance};
+//! use edmac_optim::{grid_minimize, Bounds};
 //!
-//! let m = golden_section_min(|x| (x - 2.0).powi(2), 0.0, 5.0, Tolerance::default()).unwrap();
-//! assert!((m.x - 2.0).abs() < 1e-6);
+//! let bounds = Bounds::new(vec![(0.0, 5.0)]).unwrap();
+//! let m = grid_minimize(|x| (x[0] - 2.0).powi(2), &bounds, 51).unwrap();
+//! assert!((m.x[0] - 2.0).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,13 +39,9 @@ mod error;
 mod grid;
 mod nelder_mead;
 mod penalty;
-mod scalar;
 
 pub use barrier::LogBarrier;
 pub use error::OptimError;
-pub use grid::{grid_minimize, multistart, Bounds};
+pub use grid::{grid_minimize, Bounds};
 pub use nelder_mead::{NelderMead, SimplexMinimum};
 pub use penalty::Penalty;
-pub use scalar::{
-    bisect_root, brent_min, find_sign_change, golden_section_min, ScalarMinimum, Tolerance,
-};

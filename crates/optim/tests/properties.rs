@@ -1,50 +1,10 @@
 //! Property-based tests for the optimization substrate.
 
-use edmac_optim::{
-    bisect_root, brent_min, golden_section_min, grid_minimize, multistart, Bounds, NelderMead,
-    Penalty, Tolerance,
-};
+use edmac_optim::{grid_minimize, Bounds, NelderMead, Penalty};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn golden_section_solves_random_quartics(
-        center in -50.0..50.0f64,
-        c2 in 0.1..10.0f64,
-        c4 in 0.0..5.0f64,
-        offset in -10.0..10.0f64,
-    ) {
-        // Strictly unimodal with minimum at `center`.
-        let f = |x: f64| c2 * (x - center).powi(2) + c4 * (x - center).powi(4) + offset;
-        let m = golden_section_min(f, center - 60.0, center + 55.0, Tolerance::default()).unwrap();
-        prop_assert!((m.x - center).abs() < 1e-5, "x={} center={center}", m.x);
-        prop_assert!((m.value - offset).abs() < 1e-8);
-    }
-
-    #[test]
-    fn brent_agrees_with_golden_on_random_quartics(
-        center in -20.0..20.0f64,
-        c2 in 0.1..10.0f64,
-        c4 in 0.0..5.0f64,
-    ) {
-        let f = |x: f64| c2 * (x - center).powi(2) + c4 * (x - center).powi(4);
-        let g = golden_section_min(f, center - 25.0, center + 30.0, Tolerance::default()).unwrap();
-        let b = brent_min(f, center - 25.0, center + 30.0, Tolerance::default()).unwrap();
-        prop_assert!((g.x - b.x).abs() < 1e-4);
-    }
-
-    #[test]
-    fn bisection_inverts_monotone_cubics(
-        root in -30.0..30.0f64,
-        scale in 0.1..5.0f64,
-    ) {
-        // Strictly increasing cubic with a single real root at `root`.
-        let f = |x: f64| scale * ((x - root) + (x - root).powi(3));
-        let r = bisect_root(f, root - 40.0, root + 45.0, Tolerance::default()).unwrap();
-        prop_assert!((r - root).abs() < 1e-6);
-    }
 
     #[test]
     fn nelder_mead_solves_random_convex_quadratics(
@@ -66,19 +26,6 @@ proptest! {
         let m = grid_minimize(|p| (p[0] - center).powi(2), &bounds, 81).unwrap();
         let cell = 4.0 / 80.0;
         prop_assert!((m.x[0] - center).abs() <= cell);
-    }
-
-    #[test]
-    fn multistart_at_least_matches_grid(
-        center in -1.5..1.5f64,
-        wiggle in 0.0..3.0f64,
-    ) {
-        // A rippled quadratic: many shallow local minima.
-        let f = move |p: &[f64]| (p[0] - center).powi(2) + wiggle * (6.0 * p[0]).sin().powi(2) * 0.1;
-        let bounds = Bounds::new(vec![(-3.0, 3.0)]).unwrap();
-        let grid = grid_minimize(f, &bounds, 31).unwrap();
-        let multi = multistart(f, &bounds, 31, 4, NelderMead::default()).unwrap();
-        prop_assert!(multi.value <= grid.value + 1e-12);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 
 use edmac_mac::Deployment;
 use edmac_net::Topology;
+use edmac_phy::UnitDisk;
 use edmac_proto::{ProtocolRegistry, ProtocolSuite};
 use edmac_radio::{FrameSizes, Radio};
-use edmac_sim::{SimConfig, Simulation, WakeMode};
+use edmac_sim::{CoexNetwork, SimConfig, Simulation, WakeMode};
 use edmac_units::{Hertz, Seconds};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,11 +52,14 @@ fn every_suite_round_trips_its_own_configuration() {
         // And the built protocol drives the engine end to end.
         let env = Deployment::reference();
         let protocol = suite.simulator_for(&env, &suite.reference_params());
-        let report = Simulation::build(
-            &topology,
+        let report = Simulation::new(
+            &[CoexNetwork {
+                topology: &topology,
+                protocol: protocol.as_ref(),
+            }],
+            &UnitDisk,
             Radio::cc2420(),
             FrameSizes::default(),
-            protocol.as_ref(),
             SimConfig {
                 duration: Seconds::new(90.0),
                 sample_period: Seconds::new(30.0),

@@ -24,8 +24,8 @@ pub use crate::protocols::MacNode;
 use crate::queue::{CalendarQueue, EventQueue, OrderKey};
 use crate::report::{NodeStats, PacketRecord, SimReport};
 use crate::time::SimTime;
-use edmac_net::{NetError, NodeId, Point2, RoutingTree, Topology};
-use edmac_phy::{ChannelModel, InterferenceTally, LinkField, SinrParams};
+use edmac_net::{Graph, NetError, NodeId, Point2, RoutingTree, Topology};
+use edmac_phy::{ChannelModel, InterferenceTally, LinkField, SinrParams, UnitDisk};
 use edmac_radio::{Cause, EnergyLedger, FrameSizes, Mode, Radio};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -46,6 +46,16 @@ pub enum WakeMode {
     /// transmit, may receive from a schedule-known neighbor, or must
     /// sample the channel; elided idle ticks are replayed into the
     /// energy ledger arithmetically ([`Ctx::replay_idle_wake`]).
+    ///
+    /// A replay is proven only by a network's own schedule, so it is
+    /// sound only when every transmission a node can hear comes from
+    /// its own network over a decode edge. [`Simulation::new`] runs a
+    /// requested `Coarse` as `Dense` whenever some air link of the
+    /// realized channel is not a decode edge within one network: a
+    /// link between two networks, or an interference-only link of a
+    /// SINR channel. A single network on [`UnitDisk`] or
+    /// [`SinrChannel::degenerate`](edmac_phy::SinrChannel::degenerate)
+    /// stays `Coarse`.
     #[default]
     Coarse,
     /// The reference schedule: every protocol tick becomes a wake-up,
@@ -194,12 +204,12 @@ impl ActiveRx {
 
 /// How the engine judges receptions.
 ///
-/// `Binary` is the historical unit-disk rule (first arrival locks, any
-/// overlap destroys) and the default for every existing builder; its
-/// code paths are untouched by the SINR machinery, which is what keeps
-/// legacy runs byte-identical. `Sinr` carries per-directed-link
-/// received powers parallel to `Shared::neighbors` and the decode
-/// parameters from the realized [`ChannelModel`].
+/// `Binary` is the unit-disk rule (first arrival locks, any overlap
+/// destroys), used for every channel whose [`ChannelModel::sinr`] is
+/// `None`; its code paths are untouched by the SINR machinery. `Sinr`
+/// carries per-directed-link received powers parallel to
+/// `Shared::neighbors` and the decode parameters from the realized
+/// [`ChannelModel`].
 #[derive(Debug)]
 pub(crate) enum ChannelKind {
     Binary,
@@ -315,15 +325,14 @@ pub(crate) struct Shared {
     pub(crate) neighbors: Vec<Vec<NodeId>>,
     parent: Vec<Option<NodeId>>,
     depth: Vec<usize>,
-    /// How receptions are judged; `ChannelKind::Binary` on every
-    /// legacy builder. Under `Sinr`, `neighbors` is the channel's
-    /// *air* adjacency (everyone who registers interference power), a
-    /// superset of the decode graph routing was built over — the
-    /// sharded scheduler's lookahead keys on `neighbors`, so it stays
+    /// How receptions are judged. `neighbors` is the channel's *air*
+    /// adjacency (everyone who registers a transmission), a superset of
+    /// the decode graph routing was built over — the sharded
+    /// scheduler's lookahead keys on `neighbors`, so it stays
     /// conservative under interference-range > decode-range for free.
     channel: ChannelKind,
-    /// The network each node belongs to (all 0 outside coexistence
-    /// builds). Frames decode across networks — the radio cannot know
+    /// The network each node belongs to (all 0 in a single-network
+    /// build). Frames decode across networks — the radio cannot know
     /// better — but `on_frame` only fires for same-network traffic,
     /// the PAN-filter every real MAC applies before its state machine.
     network_of: Vec<u32>,
@@ -331,11 +340,10 @@ pub(crate) struct Shared {
     sinks: Vec<NodeId>,
     /// Each network's deepest hop distance, indexed by network id.
     max_depths: Vec<usize>,
-    pub(crate) sink: NodeId,
+    /// The run configuration, with the wake mode that actually runs.
     pub(crate) config: SimConfig,
-    /// `true` when every node runs a protocol that never samples the
-    /// channel (no CCA), letting the engine elide air events to
-    /// sleeping receivers.
+    /// `true` when the engine may elide air events to sleeping
+    /// receivers (decided by [`Simulation::new`]).
     cca_free: bool,
     /// Per-node traffic overriding [`SimConfig::sample_period`].
     traffic: Option<TrafficProfile>,
@@ -368,7 +376,7 @@ impl Shared {
         self.local_of[node.index()] as usize
     }
 
-    /// The network `node` belongs to (0 outside coexistence builds).
+    /// The network `node` belongs to (0 in a single-network build).
     fn network(&self, node: NodeId) -> usize {
         self.network_of[node.index()] as usize
     }
@@ -495,8 +503,7 @@ impl Ctx<'_> {
         self.node
     }
 
-    /// Returns `true` if this node is the sink (of its own network, in
-    /// coexistence builds).
+    /// Returns `true` if this node is the sink of its own network.
     pub fn is_sink(&self) -> bool {
         self.shared.is_sink(self.node)
     }
@@ -1155,56 +1162,179 @@ pub struct Simulation {
     shared: Shared,
     positions: Vec<Point2>,
     machines: Vec<Box<dyn MacNode>>,
-    protocol: &'static str,
-    /// Per-network protocol names (`vec![protocol]` outside
-    /// coexistence builds), indexed by network id.
+    /// Per-network protocol names, indexed by network id.
     network_names: Vec<&'static str>,
     shards: usize,
 }
 
 impl Simulation {
-    /// Builds a simulation over an explicit topology.
+    /// Builds a simulation of one or more networks sharing one channel
+    /// — the only way a `Simulation` is assembled. A single network is
+    /// the `K = 1` case.
     ///
-    /// The protocol is any [`SimProtocol`] configuration — the four
-    /// built-in ones ([`XmacSim`](crate::XmacSim),
+    /// Each network brings its own topology (positions in the shared
+    /// coordinate plane, its own sink) and protocol: one of the four
+    /// built-in [`SimProtocol`]s ([`XmacSim`](crate::XmacSim),
     /// [`DmacSim`](crate::DmacSim), [`LmacSim`](crate::LmacSim),
-    /// [`ScpSim`](crate::ScpSim)) or a downstream implementation.
+    /// [`ScpSim`](crate::ScpSim)) or any downstream implementation,
+    /// custom per-node state machines included. `channel` is
+    /// realized over the union of all positions; each network routes
+    /// over the realized decode edges among its own nodes, while every
+    /// air link — within or across networks — delivers frames, so one
+    /// network's transmissions are interference (or, on a binary
+    /// channel, collision sources) in every other. Global node ids are
+    /// assigned contiguously in network order. Cross-network frames are
+    /// decoded by the radio (energy and counters are charged) but
+    /// filtered before the MAC state machine, like a PAN-id check.
+    ///
+    /// Three choices are made here and nowhere else:
+    ///
+    /// * **Protocol seed.** A single network builds its nodes under
+    ///   `config.seed`; with several, network `k` gets its own
+    ///   decorrelated seed (so e.g. LMAC's slot-assignment RNG differs
+    ///   per network).
+    /// * **CCA-free air-pair elision.** Air events to sleeping
+    ///   receivers are elided only for a single network on a binary
+    ///   channel whose protocol never samples the channel
+    ///   ([`SimProtocol::cca_free`]).
+    /// * **Wake mode.** A requested [`WakeMode::Coarse`] runs as
+    ///   [`WakeMode::Dense`] unless every air link of the realized field
+    ///   is a decode edge within one network (see [`WakeMode::Coarse`]);
+    ///   the mode that ran is the one in the report's [`SimConfig`].
     ///
     /// # Errors
     ///
-    /// * [`NetError::Disconnected`] if some node cannot reach the sink.
-    /// * [`NetError::InvalidParameter`] if the configuration cannot
-    ///   cover the topology (e.g. an LMAC frame with fewer slots than
-    ///   the distance-2 coloring needs).
-    pub fn build(
-        topology: &Topology,
+    /// * [`NetError::InvalidParameter`] if `networks` is empty, or if a
+    ///   protocol cannot cover its topology (e.g. an LMAC frame with
+    ///   fewer slots than the distance-2 coloring needs).
+    /// * [`NetError::Disconnected`] if some network's decode graph
+    ///   cannot reach its sink under the realized channel.
+    pub fn new(
+        networks: &[CoexNetwork<'_>],
+        channel: &dyn ChannelModel,
         radio: Radio,
         frames: FrameSizes,
-        protocol: &dyn SimProtocol,
-        config: SimConfig,
+        mut config: SimConfig,
     ) -> Result<Simulation, NetError> {
-        let graph = topology.graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes = protocol.build_nodes(&graph, &tree, &config)?;
-        Simulation::assemble(
-            &graph,
-            &tree,
-            topology.positions(),
-            radio,
+        if networks.is_empty() {
+            return Err(NetError::InvalidParameter {
+                name: "networks",
+                reason: "a simulation needs at least one network".to_string(),
+            });
+        }
+        let mut positions: Vec<Point2> = Vec::new();
+        let mut network_of: Vec<u32> = Vec::new();
+        for (k, net) in networks.iter().enumerate() {
+            positions.extend_from_slice(net.topology.positions());
+            network_of.resize(positions.len(), k as u32);
+        }
+        let n = positions.len();
+        let field = channel.realize(&positions, config.seed);
+        let decode = field.decode_graph();
+        if !schedules_cover_air(&field, &decode, &network_of) {
+            config.scheduling = WakeMode::Dense;
+        }
+
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut depth = vec![0usize; n];
+        let mut sinks = Vec::with_capacity(networks.len());
+        let mut max_depths = Vec::with_capacity(networks.len());
+        let mut network_names = Vec::with_capacity(networks.len());
+        let mut machines: Vec<Box<dyn MacNode>> = Vec::with_capacity(n);
+        let mut off = 0;
+        for (k, net) in networks.iter().enumerate() {
+            let nk = net.topology.len();
+            // The network's own decode graph: the realized field's
+            // edges restricted to its nodes, shifted to local ids.
+            // Neighbor lists keep their ascending order, so builders
+            // that iterate adjacency (LMAC's coloring) see exactly
+            // what a standalone realization would give them.
+            let mut local = Graph::with_nodes(nk);
+            for u in 0..nk {
+                for &v in decode.neighbors(NodeId::new(off + u)) {
+                    let vi = v.index();
+                    if vi > off + u && vi < off + nk {
+                        local.add_edge(NodeId::new(u), NodeId::new(vi - off));
+                    }
+                }
+            }
+            let tree = RoutingTree::shortest_path(&local, net.topology.sink())?;
+            let mut net_config = config;
+            if networks.len() > 1 {
+                net_config.seed = node_stream(config.seed ^ 0x0C0E_715E, k);
+            }
+            machines.extend(net.protocol.build_nodes(&local, &tree, &net_config)?);
+            for u in 0..nk {
+                let lu = NodeId::new(u);
+                parent[off + u] = tree.parent(lu).map(|p| NodeId::new(off + p.index()));
+                depth[off + u] = tree.depth(lu);
+            }
+            sinks.push(NodeId::new(off + net.topology.sink().index()));
+            max_depths.push(tree.max_depth());
+            network_names.push(net.protocol.name());
+            off += nk;
+        }
+
+        let air = |u: usize| field.receivers(NodeId::new(u));
+        let neighbors = (0..n)
+            .map(|u| air(u).iter().map(|&(v, _)| v).collect())
+            .collect();
+        let params = channel.sinr();
+        // The elision reasons over binary decode semantics on a
+        // schedule-provably silent receiver: SINR interference power
+        // must always ship, and another network's traffic makes no
+        // receiver provably silent.
+        let cca_free = networks.len() == 1 && params.is_none() && networks[0].protocol.cca_free();
+        let channel = match params {
+            Some(params) => ChannelKind::Sinr {
+                rx_power: (0..n)
+                    .map(|u| air(u).iter().map(|&(_, p)| p).collect())
+                    .collect(),
+                params,
+            },
+            None => ChannelKind::Binary,
+        };
+        let min_airtime_ns = FrameKind::ALL
+            .iter()
+            .map(|k| SimTime::from_seconds(radio.airtime(k.size(&frames))).as_nanos())
+            .min()
+            .unwrap_or(1)
+            .max(1);
+        let shared = Shared {
+            end: SimTime::from_seconds(config.duration),
+            startup_ns: SimTime::from_seconds(radio.timings.startup).as_nanos(),
+            min_airtime_ns,
+            radio_hw: radio,
             frames,
-            nodes,
-            protocol.name(),
+            neighbors,
+            parent,
+            depth,
+            channel,
+            network_of,
+            sinks,
+            max_depths,
             config,
-            protocol.cca_free(),
-        )
+            cca_free,
+            traffic: None,
+            shard_of: vec![0; n],
+            local_of: (0..n as u32).collect(),
+        };
+        Ok(Simulation {
+            shared,
+            positions,
+            machines,
+            network_names,
+            shards: 1,
+        })
     }
 
     /// Builds a simulation over the paper's ring topology (a geometric
-    /// realization seeded from `config.seed`).
+    /// realization seeded from `config.seed`) on the unit-disk channel
+    /// with the CC2420 radio and default frames.
     ///
     /// # Errors
     ///
-    /// Propagates [`Topology::ring_model`] and [`Simulation::build`]
+    /// Propagates [`Topology::ring_model`] and [`Simulation::new`]
     /// errors.
     pub fn ring(
         depth: usize,
@@ -1214,213 +1344,17 @@ impl Simulation {
     ) -> Result<Simulation, NetError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let topology = Topology::ring_model(depth, density, &mut rng)?;
-        Simulation::build(
-            &topology,
+        let network = CoexNetwork {
+            topology: &topology,
+            protocol,
+        };
+        Simulation::new(
+            &[network],
+            &UnitDisk,
             Radio::cc2420(),
             FrameSizes::default(),
-            protocol,
             config,
         )
-    }
-
-    /// Builds a simulation with *custom* per-node state machines — the
-    /// extension point for experimenting with new MAC protocols on the
-    /// same channel, radio and traffic substrate.
-    ///
-    /// `make` is called once per node with its id and the routing tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Disconnected`] if some node cannot reach the
-    /// sink.
-    ///
-    /// # Examples
-    ///
-    /// See `tests/engine_channel.rs` for scripted-node usage.
-    pub fn with_nodes<F>(
-        topology: &Topology,
-        radio: Radio,
-        frames: FrameSizes,
-        config: SimConfig,
-        protocol_name: &'static str,
-        mut make: F,
-    ) -> Result<Simulation, NetError>
-    where
-        F: FnMut(NodeId, &RoutingTree) -> Box<dyn MacNode>,
-    {
-        let graph = topology.graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes: Vec<Box<dyn MacNode>> = graph.nodes().map(|u| make(u, &tree)).collect();
-        Simulation::assemble(
-            &graph,
-            &tree,
-            topology.positions(),
-            radio,
-            frames,
-            nodes,
-            protocol_name,
-            config,
-            false,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        graph: &edmac_net::Graph,
-        tree: &RoutingTree,
-        positions: &[Point2],
-        radio: Radio,
-        frames: FrameSizes,
-        nodes: Vec<Box<dyn MacNode>>,
-        protocol: &'static str,
-        config: SimConfig,
-        cca_free: bool,
-    ) -> Result<Simulation, NetError> {
-        let n = graph.len();
-        let neighbors: Vec<Vec<NodeId>> =
-            graph.nodes().map(|u| graph.neighbors(u).to_vec()).collect();
-        let parent: Vec<Option<NodeId>> = graph.nodes().map(|u| tree.parent(u)).collect();
-        let depth: Vec<usize> = graph.nodes().map(|u| tree.depth(u)).collect();
-        let max_depth = tree.max_depth();
-        let startup_ns = SimTime::from_seconds(radio.timings.startup).as_nanos();
-        let min_airtime_ns = FrameKind::ALL
-            .iter()
-            .map(|k| SimTime::from_seconds(radio.airtime(k.size(&frames))).as_nanos())
-            .min()
-            .unwrap_or(1)
-            .max(1);
-        let shared = Shared {
-            end: SimTime::from_seconds(config.duration),
-            radio_hw: radio,
-            frames,
-            neighbors,
-            parent,
-            depth,
-            channel: ChannelKind::Binary,
-            network_of: vec![0; n],
-            sinks: vec![tree.sink()],
-            max_depths: vec![max_depth],
-            sink: tree.sink(),
-            config,
-            cca_free,
-            traffic: None,
-            shard_of: vec![0; n],
-            local_of: (0..n as u32).collect(),
-            startup_ns,
-            min_airtime_ns,
-        };
-        Ok(Simulation {
-            shared,
-            positions: positions.to_vec(),
-            machines: nodes,
-            protocol,
-            network_names: vec![protocol],
-            shards: 1,
-        })
-    }
-
-    /// Builds a simulation over an explicit [`ChannelModel`].
-    ///
-    /// With a model whose [`ChannelModel::sinr`] is `None` (the
-    /// [`UnitDisk`](edmac_phy::UnitDisk) reference) this is exactly
-    /// [`Simulation::build`]: the engine keeps its binary bookkeeping
-    /// and the run is byte-identical. A SINR model switches the engine
-    /// to power-accurate interference tracking: routing runs over the
-    /// model's decode graph, while air events fan out over the wider
-    /// interference adjacency with per-directed-link received powers.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::build`]; under heavy shadowing the realized
-    /// decode graph may additionally come out
-    /// [`Disconnected`](NetError::Disconnected).
-    pub fn build_with_channel(
-        topology: &Topology,
-        radio: Radio,
-        frames: FrameSizes,
-        protocol: &dyn SimProtocol,
-        config: SimConfig,
-        channel: &dyn ChannelModel,
-    ) -> Result<Simulation, NetError> {
-        let field = channel.realize(topology.positions(), config.seed);
-        let graph = field.decode_graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes = protocol.build_nodes(&graph, &tree, &config)?;
-        let mut sim = Simulation::assemble(
-            &graph,
-            &tree,
-            topology.positions(),
-            radio,
-            frames,
-            nodes,
-            protocol.name(),
-            config,
-            protocol.cca_free(),
-        )?;
-        sim.install_channel(&field, channel.sinr());
-        Ok(sim)
-    }
-
-    /// [`Simulation::with_nodes`] over an explicit [`ChannelModel`]:
-    /// scripted per-node state machines on a realized field. Routing
-    /// (and the node ids `make` sees) follows the channel's *decode*
-    /// graph; interference-only links still deliver air events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Disconnected`] if the realized decode graph
-    /// leaves some node unable to reach the sink.
-    pub fn with_nodes_and_channel<F>(
-        topology: &Topology,
-        radio: Radio,
-        frames: FrameSizes,
-        config: SimConfig,
-        protocol_name: &'static str,
-        channel: &dyn ChannelModel,
-        mut make: F,
-    ) -> Result<Simulation, NetError>
-    where
-        F: FnMut(NodeId, &RoutingTree) -> Box<dyn MacNode>,
-    {
-        let field = channel.realize(topology.positions(), config.seed);
-        let graph = field.decode_graph();
-        let tree = RoutingTree::shortest_path(&graph, topology.sink())?;
-        let nodes: Vec<Box<dyn MacNode>> = graph.nodes().map(|u| make(u, &tree)).collect();
-        let mut sim = Simulation::assemble(
-            &graph,
-            &tree,
-            topology.positions(),
-            radio,
-            frames,
-            nodes,
-            protocol_name,
-            config,
-            false,
-        )?;
-        sim.install_channel(&field, channel.sinr());
-        Ok(sim)
-    }
-
-    /// Swaps the assembled binary adjacency for a realized SINR field:
-    /// `neighbors` becomes the air adjacency, with received powers
-    /// parallel to it. A `params` of `None` keeps the binary engine
-    /// (the decode graph the simulation was assembled over *is* the
-    /// field's adjacency in that case).
-    fn install_channel(&mut self, field: &LinkField, params: Option<SinrParams>) {
-        let Some(params) = params else { return };
-        let n = self.machines.len();
-        let mut neighbors = Vec::with_capacity(n);
-        let mut rx_power = Vec::with_capacity(n);
-        for u in 0..n {
-            let links = field.receivers(NodeId::new(u));
-            neighbors.push(links.iter().map(|&(v, _)| v).collect());
-            rx_power.push(links.iter().map(|&(_, p)| p).collect());
-        }
-        self.shared.neighbors = neighbors;
-        self.shared.channel = ChannelKind::Sinr { rx_power, params };
-        // The CCA-free air-pair elision reasons over binary decode
-        // semantics; interference power must always ship.
-        self.shared.cca_free = false;
     }
 
     /// Number of nodes, sink included.
@@ -1468,7 +1402,7 @@ impl Simulation {
             .periods
             .iter()
             .enumerate()
-            .filter(|&(i, _)| NodeId::new(i) != self.shared.sink)
+            .filter(|&(i, _)| !self.shared.is_sink(NodeId::new(i)))
             .map(|(_, p)| p)
             .find(|p| !(p.is_finite() && p.value() > 0.0))
         {
@@ -1496,150 +1430,12 @@ impl Simulation {
         Ok(self)
     }
 
-    /// Builds a multi-network coexistence simulation: each network
-    /// brings its own topology (sink at its local node 0), routing
-    /// tree, protocol and derived seed, but all of them share one
-    /// channel realized by `channel` over the union of their node
-    /// positions — so a frame sent in one network is interference (or,
-    /// on the binary channel, a collision source) in every other.
-    ///
-    /// Global node ids are assigned contiguously in network order.
-    /// Cross-network frames are decoded by the radio (energy and
-    /// counters are charged) but filtered before the MAC state machine,
-    /// like a PAN-id check. [`run_coexistence`](Simulation::run_coexistence)
-    /// returns one [`SimReport`] per network.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::InvalidParameter`] if `networks` is empty.
-    /// * [`NetError::Disconnected`] if any network's decode graph
-    ///   cannot reach its sink under the realized channel.
-    /// * Whatever the per-network `build_nodes` return.
-    pub fn coexistence(
-        networks: &[CoexNetwork<'_>],
-        radio: Radio,
-        frames: FrameSizes,
-        channel: &dyn ChannelModel,
-        config: SimConfig,
-    ) -> Result<Simulation, NetError> {
-        if networks.is_empty() {
-            return Err(NetError::InvalidParameter {
-                name: "networks",
-                reason: "a coexistence simulation needs at least one network".to_string(),
-            });
-        }
-        let mut positions: Vec<Point2> = Vec::new();
-        let mut offsets = Vec::with_capacity(networks.len());
-        for net in networks {
-            offsets.push(positions.len());
-            positions.extend_from_slice(net.topology.positions());
-        }
-        let n = positions.len();
-        let field = channel.realize(&positions, config.seed);
-        let decode = field.decode_graph();
-
-        let mut network_of = vec![0u32; n];
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut depth = vec![0usize; n];
-        let mut sinks = Vec::with_capacity(networks.len());
-        let mut max_depths = Vec::with_capacity(networks.len());
-        let mut network_names = Vec::with_capacity(networks.len());
-        let mut machines: Vec<Box<dyn MacNode>> = Vec::with_capacity(n);
-        for (k, net) in networks.iter().enumerate() {
-            let off = offsets[k];
-            let nk = net.topology.positions().len();
-            for slot in network_of.iter_mut().skip(off).take(nk) {
-                *slot = k as u32;
-            }
-            // The network's own decode graph: the realized field's
-            // edges restricted to its nodes, shifted to local ids.
-            // Neighbor lists keep their ascending order, so builders
-            // that iterate adjacency (LMAC's coloring) see exactly
-            // what a standalone realization would give them.
-            let mut local = edmac_net::Graph::with_nodes(nk);
-            for u in 0..nk {
-                for &v in decode.neighbors(NodeId::new(off + u)) {
-                    let vi = v.index();
-                    if vi > off + u && vi < off + nk {
-                        local.add_edge(NodeId::new(u), NodeId::new(vi - off));
-                    }
-                }
-            }
-            let tree = RoutingTree::shortest_path(&local, net.topology.sink())?;
-            // Each network runs under its own decorrelated seed, so
-            // e.g. LMAC's slot-assignment RNG differs per network.
-            let mut net_config = config;
-            net_config.seed = node_stream(config.seed ^ 0x0C0E_715E, k);
-            machines.extend(net.protocol.build_nodes(&local, &tree, &net_config)?);
-            for u in 0..nk {
-                let lu = NodeId::new(u);
-                parent[off + u] = tree.parent(lu).map(|p| NodeId::new(off + p.index()));
-                depth[off + u] = tree.depth(lu);
-            }
-            sinks.push(NodeId::new(off + net.topology.sink().index()));
-            max_depths.push(tree.max_depth());
-            network_names.push(net.protocol.name());
-        }
-
-        let params = channel.sinr();
-        let mut neighbors = Vec::with_capacity(n);
-        let mut rx_power = Vec::with_capacity(n);
-        for u in 0..n {
-            let links = field.receivers(NodeId::new(u));
-            neighbors.push(links.iter().map(|&(v, _)| v).collect::<Vec<_>>());
-            rx_power.push(links.iter().map(|&(_, p)| p).collect::<Vec<_>>());
-        }
-        let channel_kind = match params {
-            Some(params) => ChannelKind::Sinr { rx_power, params },
-            None => ChannelKind::Binary,
-        };
-        let startup_ns = SimTime::from_seconds(radio.timings.startup).as_nanos();
-        let min_airtime_ns = FrameKind::ALL
-            .iter()
-            .map(|k| SimTime::from_seconds(radio.airtime(k.size(&frames))).as_nanos())
-            .min()
-            .unwrap_or(1)
-            .max(1);
-        let shared = Shared {
-            end: SimTime::from_seconds(config.duration),
-            radio_hw: radio,
-            frames,
-            neighbors,
-            parent,
-            depth,
-            channel: channel_kind,
-            network_of,
-            sink: sinks[0],
-            sinks,
-            max_depths,
-            config,
-            // Cross-network traffic makes no receiver schedule-
-            // provably silent, so the CCA-free elision is never sound
-            // here.
-            cca_free: false,
-            traffic: None,
-            shard_of: vec![0; n],
-            local_of: (0..n as u32).collect(),
-            startup_ns,
-            min_airtime_ns,
-        };
-        Ok(Simulation {
-            shared,
-            positions,
-            machines,
-            protocol: network_names[0],
-            network_names,
-            shards: 1,
-        })
-    }
-
     /// Runs to completion, returning the final world state.
     fn execute(self) -> (Shared, Vec<&'static str>, Vec<ShardState>) {
         let Simulation {
             mut shared,
             positions,
             machines,
-            protocol: _,
             network_names,
             shards,
         } = self;
@@ -1660,12 +1456,15 @@ impl Simulation {
         (shared, network_names, built)
     }
 
-    /// Runs the simulation to completion and returns the report.
+    /// Runs the simulation to completion and returns the report. On a
+    /// multi-network build the report covers every node under network
+    /// 0's protocol name and sink; use
+    /// [`run_coexistence`](Simulation::run_coexistence) for one report
+    /// per network.
     pub fn run(self) -> SimReport {
-        let protocol = self.protocol;
-        let (shared, _, shards) = self.execute();
+        let (shared, names, shards) = self.execute();
         let (per_node, records) = collect_results(&shared, shards);
-        SimReport::new(protocol, shared.config, shared.sink, per_node, records)
+        SimReport::new(names[0], shared.config, shared.sinks[0], per_node, records)
     }
 
     /// Runs a coexistence simulation to completion and returns one
@@ -1677,8 +1476,7 @@ impl Simulation {
     ///
     /// On a single-network build this returns `vec![self.run()]`.
     pub fn run_coexistence(self) -> Vec<SimReport> {
-        let names = self.network_names.clone();
-        let (shared, _, shards) = self.execute();
+        let (shared, names, shards) = self.execute();
         let (per_node, records) = collect_results(&shared, shards);
         names
             .iter()
@@ -1700,7 +1498,7 @@ impl Simulation {
     }
 }
 
-/// One network participating in a [`Simulation::coexistence`] build:
+/// One network of a [`Simulation::new`] build:
 /// a topology in the *shared* coordinate plane (inter-network spacing
 /// is expressed by the positions themselves) plus the protocol its
 /// nodes run.
@@ -1710,6 +1508,17 @@ pub struct CoexNetwork<'a> {
     pub topology: &'a Topology,
     /// The MAC protocol every node of this network runs.
     pub protocol: &'a dyn SimProtocol,
+}
+
+/// Whether every air link of `field` is a decode edge between two nodes
+/// of one network — the condition [`WakeMode::Coarse`] replay needs.
+fn schedules_cover_air(field: &LinkField, decode: &Graph, network_of: &[u32]) -> bool {
+    (0..field.len()).all(|u| {
+        let tx = NodeId::new(u);
+        field.receivers(tx).iter().all(|&(rx, _)| {
+            network_of[u] == network_of[rx.index()] && decode.neighbors(tx).contains(&rx)
+        })
+    })
 }
 
 /// Builds the per-shard arenas from the plan, moving each node's state

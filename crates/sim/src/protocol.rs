@@ -2,7 +2,7 @@
 //! configurations that build per-node state machines.
 //!
 //! Until the `ProtocolSuite` redesign the engine owned a closed
-//! `ProtocolConfig` enum and matched on it inside `Simulation::build`,
+//! `ProtocolConfig` enum and matched on it inside its constructor,
 //! so adding a protocol meant editing the engine. The construction
 //! logic now lives with each protocol's configuration struct behind an
 //! object-safe trait; the engine only asks for the node vector, the
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A protocol configuration the engine can instantiate: everything
-/// [`Simulation::build`](crate::Simulation::build) needs to turn a
+/// [`Simulation::new`](crate::Simulation::new) needs to turn a
 /// routed topology into per-node state machines.
 ///
 /// Object-safe and `Send + Sync`: configurations are plain data, so

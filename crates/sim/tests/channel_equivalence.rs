@@ -1,10 +1,9 @@
 //! The degenerate-channel contract: building a simulation over
-//! [`UnitDisk`] — or over [`SinrChannel::degenerate`], which drives the
-//! engine's *SINR* code path with σ = 0, capture off, and the
-//! interference floor raised to the sensitivity threshold — must
-//! reproduce the historical binary engine **bit for bit**, across the
-//! same wake-mode and shard matrices `wake_equivalence.rs` and
-//! `shard_equivalence.rs` pin.
+//! [`SinrChannel::degenerate`], which drives the engine's *SINR* code
+//! path with σ = 0, capture off, and the interference floor raised to
+//! the sensitivity threshold, must reproduce the binary engine's
+//! [`UnitDisk`] run **bit for bit**, across the same wake-mode and
+//! shard matrices `wake_equivalence.rs` and `shard_equivalence.rs` pin.
 //!
 //! One diagnostic is deliberately outside the contract:
 //! `NodeStats::mean_sinr_db` is `None` on the binary channel and
@@ -13,11 +12,11 @@
 //! counters, energies, busy times, packet records — must be identical.
 
 use edmac_net::{NetError, RoutingTree, Topology};
-use edmac_phy::{SinrChannel, UnitDisk};
+use edmac_phy::{ChannelModel, SinrChannel, UnitDisk};
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    DmacSim, LmacSim, MacNode, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode,
-    XmacSim,
+    CoexNetwork, DmacSim, LmacSim, MacNode, ScpSim, SimConfig, SimProtocol, SimReport, Simulation,
+    WakeMode, XmacSim,
 };
 use edmac_units::Seconds;
 use proptest::prelude::*;
@@ -75,8 +74,32 @@ fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
     }
 }
 
-/// Runs the binary reference and both degenerate channel builds over
-/// one topology × protocol × mode × shard-count cell.
+/// Builds one network over `channel` and runs it on `shards` shards.
+fn run(
+    topo: &Topology,
+    protocol: &dyn SimProtocol,
+    cfg: SimConfig,
+    channel: &dyn ChannelModel,
+    shards: usize,
+) -> SimReport {
+    let network = CoexNetwork {
+        topology: topo,
+        protocol,
+    };
+    Simulation::new(
+        &[network],
+        channel,
+        Radio::cc2420(),
+        FrameSizes::default(),
+        cfg,
+    )
+    .expect("buildable")
+    .with_shards(shards)
+    .run()
+}
+
+/// Runs the unit-disk reference and the degenerate SINR build over one
+/// topology × protocol × mode × shard-count cell.
 fn assert_degenerate_cell(
     topo: &Topology,
     protocol: &dyn SimProtocol,
@@ -84,30 +107,13 @@ fn assert_degenerate_cell(
     shards: usize,
     label: &str,
 ) {
-    let radio = Radio::cc2420();
-    let frames = FrameSizes::default();
-    let reference = Simulation::build(topo, radio, frames, protocol, cfg)
-        .expect("buildable")
-        .with_shards(shards)
-        .run();
-    let disk = Simulation::build_with_channel(topo, radio, frames, protocol, cfg, &UnitDisk)
-        .expect("buildable")
-        .with_shards(shards)
-        .run();
-    assert_identical(&disk, &reference, &format!("{label} unit-disk"));
+    let reference = run(topo, protocol, cfg, &UnitDisk, shards);
     // UnitDisk keeps the binary engine: the SINR diagnostic stays off.
-    assert!(disk.per_node().iter().all(|s| s.mean_sinr_db.is_none()));
-    let degenerate = Simulation::build_with_channel(
-        topo,
-        radio,
-        frames,
-        protocol,
-        cfg,
-        &SinrChannel::degenerate(),
-    )
-    .expect("buildable")
-    .with_shards(shards)
-    .run();
+    assert!(reference
+        .per_node()
+        .iter()
+        .all(|s| s.mean_sinr_db.is_none()));
+    let degenerate = run(topo, protocol, cfg, &SinrChannel::degenerate(), shards);
     assert_identical(&degenerate, &reference, &format!("{label} degenerate"));
     // The degenerate run rides the SINR path: event-path decodes carry
     // a (finite) SINR sample. Coarse-mode replay elisions (LMAC's
@@ -242,21 +248,21 @@ fn degenerate_build_rejects_out_of_range_links_exactly_at_the_disk_radius() {
             edmac_net::Point2::new(d, 0.0),
         ])
         .expect("two nodes always form a topology");
-        let binary = Simulation::build(
-            &topo,
-            Radio::cc2420(),
-            FrameSizes::default(),
-            &OneShot,
-            config(1, WakeMode::Coarse),
-        );
-        let sinr = Simulation::build_with_channel(
-            &topo,
-            Radio::cc2420(),
-            FrameSizes::default(),
-            &OneShot,
-            config(1, WakeMode::Coarse),
-            &SinrChannel::degenerate(),
-        );
+        let build = |channel: &dyn ChannelModel| {
+            let network = CoexNetwork {
+                topology: &topo,
+                protocol: &OneShot,
+            };
+            Simulation::new(
+                &[network],
+                channel,
+                Radio::cc2420(),
+                FrameSizes::default(),
+                config(1, WakeMode::Coarse),
+            )
+        };
+        let binary = build(&UnitDisk);
+        let sinr = build(&SinrChannel::degenerate());
         assert_eq!(binary.is_ok(), expect_ok, "binary at d={d}");
         assert_eq!(sinr.is_ok(), expect_ok, "degenerate sinr at d={d}");
     }

@@ -1,78 +1,15 @@
 //! Deterministic engine-level tests of the channel, radio and timer
-//! semantics, using scripted nodes through [`Simulation::with_nodes`].
+//! semantics, using scripted nodes (`common::scripted`) on the
+//! unit-disk channel.
 
+mod common;
+
+use common::{scripted, Listener, Mute, Talker};
 use edmac_net::{NodeId, Point2, Topology};
-use edmac_radio::{Cause, FrameSizes, Radio};
-use edmac_sim::{Ctx, Frame, FrameKind, MacNode, Packet, SimConfig, Simulation, WakeMode};
+use edmac_phy::UnitDisk;
+use edmac_radio::{FrameSizes, Radio};
+use edmac_sim::FrameKind;
 use edmac_units::Seconds;
-
-/// A node that wakes shortly before `tx_at` and transmits one data
-/// frame to `dst` at exactly that time; otherwise it sleeps.
-#[derive(Debug)]
-struct Talker {
-    tx_at: Seconds,
-    dst: NodeId,
-}
-
-impl MacNode for Talker {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        let wake_at = self.tx_at - ctx.startup_delay();
-        ctx.set_timer(wake_at, 1);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, _id: u64) {
-        if tag == 1 {
-            ctx.wake(Cause::DataTx);
-        }
-    }
-    fn on_radio_ready(&mut self, ctx: &mut Ctx<'_>) {
-        let packet = Packet {
-            id: edmac_sim::PacketId(999),
-            origin: ctx.me(),
-            created: ctx.now(),
-            hops: 0,
-        };
-        ctx.send(FrameKind::Data, Some(self.dst), Some(packet));
-    }
-    fn on_tx_done(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.sleep();
-    }
-    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
-    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
-}
-
-/// A node that listens from `from` onward (forever).
-#[derive(Debug)]
-struct Listener {
-    from: Seconds,
-}
-
-impl MacNode for Listener {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.from, 1);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, _id: u64) {
-        if tag == 1 {
-            ctx.wake(Cause::CarrierSense);
-        }
-    }
-    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
-    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
-    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
-    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
-}
-
-/// A node that does nothing at all (stays asleep).
-#[derive(Debug)]
-struct Mute;
-
-impl MacNode for Mute {
-    fn start(&mut self, _: &mut Ctx<'_>) {}
-    fn on_timer(&mut self, _: &mut Ctx<'_>, _: u32, _: u64) {}
-    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
-    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
-    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
-    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
-}
 
 /// Hidden-terminal triangle: talkers at the ends, listener in the
 /// middle. `positions[0]` (a talker) doubles as the sink so the tree is
@@ -86,42 +23,15 @@ fn hidden_pair() -> Topology {
     .unwrap()
 }
 
-fn quiet_config() -> SimConfig {
-    SimConfig {
-        duration: Seconds::new(5.0),
-        sample_period: Seconds::new(1_000.0), // no generated traffic
-        warmup: Seconds::ZERO,
-        seed: 0,
-        scheduling: WakeMode::Coarse,
-    }
-}
-
-fn build(
-    topo: &Topology,
-    make: impl FnMut(NodeId, &edmac_net::RoutingTree) -> Box<dyn MacNode>,
-) -> Simulation {
-    Simulation::with_nodes(
-        topo,
-        Radio::cc2420(),
-        FrameSizes::default(),
-        quiet_config(),
-        "scripted",
-        make,
-    )
-    .unwrap()
-}
-
 #[test]
 fn single_transmission_is_received_intact() {
     let topo = hidden_pair();
-    let sim = build(&topo, |id, _| match id.index() {
+    let sim = scripted(&topo, &UnitDisk, move |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
         }),
-        1 => Box::new(Listener {
-            from: Seconds::new(0.5),
-        }),
+        1 => Box::new(Listener::new(0.5)),
         _ => Box::new(Mute),
     });
     let report = sim.run();
@@ -137,7 +47,7 @@ fn overlapping_hidden_transmissions_collide() {
     let topo = hidden_pair();
     // Both talkers transmit at exactly t = 1.0 s; they cannot hear each
     // other but the listener hears both.
-    let sim = build(&topo, |id, _| match id.index() {
+    let sim = scripted(&topo, &UnitDisk, move |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
@@ -146,9 +56,7 @@ fn overlapping_hidden_transmissions_collide() {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
         }),
-        _ => Box::new(Listener {
-            from: Seconds::new(0.5),
-        }),
+        _ => Box::new(Listener::new(0.5)),
     });
     let report = sim.run();
     let listener = &report.per_node()[1];
@@ -165,7 +73,7 @@ fn staggered_transmissions_both_arrive() {
     let topo = hidden_pair();
     // 50-byte data at 250 kbps lasts 1.6 ms; 10 ms of stagger separates
     // the frames completely.
-    let sim = build(&topo, |id, _| match id.index() {
+    let sim = scripted(&topo, &UnitDisk, move |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
@@ -174,9 +82,7 @@ fn staggered_transmissions_both_arrive() {
             tx_at: Seconds::new(1.01),
             dst: NodeId::new(1),
         }),
-        _ => Box::new(Listener {
-            from: Seconds::new(0.5),
-        }),
+        _ => Box::new(Listener::new(0.5)),
     });
     let report = sim.run();
     let listener = &report.per_node()[1];
@@ -187,7 +93,7 @@ fn staggered_transmissions_both_arrive() {
 #[test]
 fn sleeping_listeners_hear_nothing() {
     let topo = hidden_pair();
-    let sim = build(&topo, |id, _| match id.index() {
+    let sim = scripted(&topo, &UnitDisk, move |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
@@ -209,15 +115,13 @@ fn late_wakeup_misses_a_frame_mid_air() {
     // lock on (the preamble was missed), so nothing is received.
     let t_tx = 1.0;
     let startup = Radio::cc2420().timings.startup.value();
-    let sim = build(&topo, |id, _| match id.index() {
+    let sim = scripted(&topo, &UnitDisk, move |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(t_tx),
             dst: NodeId::new(1),
         }),
         // Ready at ~t_tx + 0.5 ms, inside the 1.6 ms frame.
-        1 => Box::new(Listener {
-            from: Seconds::new(t_tx + 0.0005 - startup),
-        }),
+        1 => Box::new(Listener::new(t_tx + 0.0005 - startup)),
         _ => Box::new(Mute),
     });
     let report = sim.run();
@@ -232,14 +136,12 @@ fn late_wakeup_misses_a_frame_mid_air() {
 #[test]
 fn energy_ledger_charges_the_scripted_activity() {
     let topo = hidden_pair();
-    let report = build(&topo, |id, _| match id.index() {
+    let report = scripted(&topo, &UnitDisk, move |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
         }),
-        1 => Box::new(Listener {
-            from: Seconds::new(0.5),
-        }),
+        1 => Box::new(Listener::new(0.5)),
         _ => Box::new(Mute),
     })
     .run();

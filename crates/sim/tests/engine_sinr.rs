@@ -1,8 +1,7 @@
 //! Deterministic engine-level tests of the *SINR* channel semantics —
 //! capture, equal-power destruction, sub-sensitivity arrivals — using
-//! scripted nodes through [`Simulation::with_nodes_and_channel`], plus
-//! the multi-network coexistence builder's PAN filtering and shard
-//! byte-identity.
+//! scripted nodes (`common::scripted`), plus multi-network PAN
+//! filtering and shard byte-identity.
 //!
 //! Geometry cheat-sheet (σ = 0, tx 0 dBm, 40 dB reference loss,
 //! α = 3): received power is `−40 − 15·log10(d²)` dBm, so
@@ -10,110 +9,19 @@
 //! sensitivity sits at −40 dBm (exactly d = 1) and the interference
 //! floor at −55 dBm (d ≈ 3.16).
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use edmac_net::{NetError, NodeId, Point2, RoutingTree, Topology};
+use common::{quiet_config, scripted, Listener, Mute, ScriptedNet, Talker};
+use edmac_net::{NodeId, Point2, Topology};
 use edmac_phy::{SinrChannel, UnitDisk};
-use edmac_radio::{Cause, FrameSizes, Radio};
+use edmac_radio::{FrameSizes, Radio};
 use edmac_sim::{
-    CoexNetwork, Ctx, Frame, FrameKind, LmacSim, MacNode, Packet, SimConfig, SimProtocol,
-    SimReport, Simulation, WakeMode, XmacSim,
+    CoexNetwork, FrameKind, LmacSim, MacNode, SimConfig, SimReport, Simulation, WakeMode, XmacSim,
 };
 use edmac_units::Seconds;
-
-/// A node that wakes shortly before `tx_at` and transmits one data
-/// frame to `dst` at exactly that time; otherwise it sleeps.
-#[derive(Debug)]
-struct Talker {
-    tx_at: Seconds,
-    dst: NodeId,
-}
-
-impl MacNode for Talker {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        let wake_at = self.tx_at - ctx.startup_delay();
-        ctx.set_timer(wake_at, 1);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, _id: u64) {
-        if tag == 1 {
-            ctx.wake(Cause::DataTx);
-        }
-    }
-    fn on_radio_ready(&mut self, ctx: &mut Ctx<'_>) {
-        let packet = Packet {
-            id: edmac_sim::PacketId(999),
-            origin: ctx.me(),
-            created: ctx.now(),
-            hops: 0,
-        };
-        ctx.send(FrameKind::Data, Some(self.dst), Some(packet));
-    }
-    fn on_tx_done(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.sleep();
-    }
-    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
-    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
-}
-
-/// A node that listens from `from` onward (forever) and counts the
-/// frames its MAC layer is actually handed.
-#[derive(Debug)]
-struct Listener {
-    from: Seconds,
-    delivered: Option<Arc<AtomicU64>>,
-}
-
-impl Listener {
-    fn new(from: f64) -> Listener {
-        Listener {
-            from: Seconds::new(from),
-            delivered: None,
-        }
-    }
-}
-
-impl MacNode for Listener {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.from, 1);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, _id: u64) {
-        if tag == 1 {
-            ctx.wake(Cause::CarrierSense);
-        }
-    }
-    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
-    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {
-        if let Some(hits) = &self.delivered {
-            hits.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
-    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
-}
-
-/// A node that does nothing at all (stays asleep).
-#[derive(Debug)]
-struct Mute;
-
-impl MacNode for Mute {
-    fn start(&mut self, _: &mut Ctx<'_>) {}
-    fn on_timer(&mut self, _: &mut Ctx<'_>, _: u32, _: u64) {}
-    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
-    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
-    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
-    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
-}
-
-fn quiet_config() -> SimConfig {
-    SimConfig {
-        duration: Seconds::new(5.0),
-        sample_period: Seconds::new(1_000.0), // no generated traffic
-        warmup: Seconds::ZERO,
-        seed: 0,
-        scheduling: WakeMode::Coarse,
-    }
-}
 
 /// The deterministic (σ = 0) capture channel used by the scripted
 /// scenarios.
@@ -122,23 +30,6 @@ fn capture_channel() -> SinrChannel {
         shadowing_sigma_db: 0.0,
         ..SinrChannel::default()
     }
-}
-
-fn build(
-    topo: &Topology,
-    channel: &SinrChannel,
-    make: impl FnMut(NodeId, &RoutingTree) -> Box<dyn MacNode>,
-) -> Simulation {
-    Simulation::with_nodes_and_channel(
-        topo,
-        Radio::cc2420(),
-        FrameSizes::default(),
-        quiet_config(),
-        "scripted",
-        channel,
-        make,
-    )
-    .unwrap()
 }
 
 /// Near/far pair: the sink A talks from 0.7 away, a second talker B
@@ -158,7 +49,7 @@ fn capture_rides_out_a_weak_interferer() {
     // A (−35.35 dBm) and B (−41.82 dBm) overlap exactly at the
     // listener; SINR = 6.4 dB clears the 6 dB capture threshold, so
     // A's frame survives and is counted as a capture.
-    let sim = build(&near_far(), &capture_channel(), |id, _| match id.index() {
+    let sim = scripted(&near_far(), &capture_channel(), |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
@@ -194,7 +85,7 @@ fn equal_power_overlap_destroys_even_with_capture() {
         Point2::new(0.7, 0.0),  // node 2: talker B
     ])
     .unwrap();
-    let sim = build(&topo, &capture_channel(), |id, _| match id.index() {
+    let sim = scripted(&topo, &capture_channel(), |u| match u {
         0 | 2 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
@@ -220,7 +111,7 @@ fn capture_off_reverts_to_overlap_destroys() {
         capture_db: None,
         ..capture_channel()
     };
-    let sim = build(&near_far(), &channel, |id, _| match id.index() {
+    let sim = scripted(&near_far(), &channel, |u| match u {
         0 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
             dst: NodeId::new(1),
@@ -252,7 +143,7 @@ fn sub_sensitivity_arrivals_count_as_below_noise() {
         Point2::new(1.8, 0.0), // node 3: talker C
     ])
     .unwrap();
-    let sim = build(&topo, &capture_channel(), |id, _| match id.index() {
+    let sim = scripted(&topo, &capture_channel(), |u| match u {
         1 => Box::new(Listener::new(0.5)) as Box<dyn MacNode>,
         3 => Box::new(Talker {
             tx_at: Seconds::new(1.0),
@@ -273,33 +164,6 @@ fn sub_sensitivity_arrivals_count_as_below_noise() {
 // ---------------------------------------------------------------------
 // Coexistence: several networks, one shared channel.
 // ---------------------------------------------------------------------
-
-/// A scripted per-network protocol: `make` builds each node from its
-/// *local* index.
-struct ScriptedNet {
-    label: &'static str,
-    make: Box<dyn Fn(usize) -> Box<dyn MacNode> + Send + Sync>,
-}
-
-impl std::fmt::Debug for ScriptedNet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ScriptedNet({})", self.label)
-    }
-}
-
-impl SimProtocol for ScriptedNet {
-    fn name(&self) -> &'static str {
-        self.label
-    }
-    fn build_nodes(
-        &self,
-        graph: &edmac_net::Graph,
-        _tree: &RoutingTree,
-        _config: &SimConfig,
-    ) -> Result<Vec<Box<dyn MacNode>>, NetError> {
-        Ok(graph.nodes().map(|u| (self.make)(u.index())).collect())
-    }
-}
 
 #[test]
 fn pan_filter_decodes_but_never_delivers_foreign_frames() {
@@ -343,7 +207,7 @@ fn pan_filter_decodes_but_never_delivers_foreign_frames() {
             }),
         }),
     };
-    let reports = Simulation::coexistence(
+    let reports = Simulation::new(
         &[
             CoexNetwork {
                 topology: &net0_topo,
@@ -354,9 +218,9 @@ fn pan_filter_decodes_but_never_delivers_foreign_frames() {
                 protocol: &net1,
             },
         ],
+        &UnitDisk,
         Radio::cc2420(),
         FrameSizes::default(),
-        &UnitDisk,
         quiet_config(),
     )
     .unwrap()
@@ -392,7 +256,7 @@ fn line_coex_reports(offset_y: f64, shards: usize) -> Vec<SimReport> {
         seed: 9,
         scheduling: WakeMode::Coarse,
     };
-    Simulation::coexistence(
+    Simulation::new(
         &[
             CoexNetwork {
                 topology: &base,
@@ -403,9 +267,9 @@ fn line_coex_reports(offset_y: f64, shards: usize) -> Vec<SimReport> {
                 protocol: &xmac,
             },
         ],
+        &UnitDisk,
         Radio::cc2420(),
         FrameSizes::default(),
-        &UnitDisk,
         cfg,
     )
     .unwrap()
@@ -525,10 +389,10 @@ fn coexistence_over_a_shadowed_sinr_channel_is_shard_invariant() {
         ];
         let radio = Radio::cc2420();
         let frames = FrameSizes::default();
-        let Ok(seq) = Simulation::coexistence(&nets, radio, frames, &channel, cfg) else {
+        let Ok(seq) = Simulation::new(&nets, &channel, radio, frames, cfg) else {
             continue; // this realization disconnected a network
         };
-        let sharded = Simulation::coexistence(&nets, radio, frames, &channel, cfg)
+        let sharded = Simulation::new(&nets, &channel, radio, frames, cfg)
             .expect("same seed, same realization")
             .with_shards(3);
         reports = Some((seq.run_coexistence(), sharded.run_coexistence()));

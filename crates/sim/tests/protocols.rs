@@ -1,7 +1,9 @@
 //! End-to-end behavioral tests of the three simulated protocols.
 
+use edmac_phy::UnitDisk;
 use edmac_sim::{
-    DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode, XmacSim,
+    CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode,
+    XmacSim,
 };
 use edmac_units::Seconds;
 
@@ -271,11 +273,14 @@ fn line_topology_works_for_all_protocols() {
             seed: 13,
             scheduling: WakeMode::Coarse,
         };
-        let report = Simulation::build(
-            &topo,
+        let report = Simulation::new(
+            &[CoexNetwork {
+                topology: &topo,
+                protocol: protocol.as_ref(),
+            }],
+            &UnitDisk,
             edmac_radio::Radio::cc2420(),
             edmac_radio::FrameSizes::default(),
-            protocol.as_ref(),
             cfg,
         )
         .unwrap()

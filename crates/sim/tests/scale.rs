@@ -22,8 +22,9 @@
 //! timing assertions only arm in release.
 
 use edmac_net::Topology;
+use edmac_phy::UnitDisk;
 use edmac_radio::{FrameSizes, Radio};
-use edmac_sim::{LmacSim, SimConfig, SimProtocol, Simulation, WakeMode, XmacSim};
+use edmac_sim::{CoexNetwork, LmacSim, SimConfig, SimProtocol, Simulation, WakeMode, XmacSim};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,11 +60,14 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
         build_start.elapsed()
     );
     let build = |protocol: &dyn SimProtocol| {
-        Simulation::build(
-            &topo,
+        Simulation::new(
+            &[CoexNetwork {
+                topology: &topo,
+                protocol,
+            }],
+            &UnitDisk,
             Radio::cc2420(),
             FrameSizes::default(),
-            protocol,
             config(),
         )
         .expect("buildable disk")

@@ -21,11 +21,12 @@
 //! frontier), the worst case for the lookahead bounds.
 
 use edmac_net::Topology;
+use edmac_phy::UnitDisk;
 use edmac_proto::CsmaSim;
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    BurstWindows, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation,
-    TrafficProfile, WakeMode, XmacSim,
+    BurstWindows, CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport,
+    Simulation, TrafficProfile, WakeMode, XmacSim,
 };
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -140,11 +141,14 @@ fn disk_matrix(modes: &[WakeMode]) {
     let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
     for protocol in &protocols() {
         let build = |mode| {
-            Simulation::build(
-                &topo,
+            Simulation::new(
+                &[CoexNetwork {
+                    topology: &topo,
+                    protocol: protocol.as_ref(),
+                }],
+                &UnitDisk,
                 Radio::cc2420(),
                 FrameSizes::default(),
-                protocol.as_ref(),
                 config(11, mode),
             )
             .expect("buildable disk")
@@ -176,11 +180,14 @@ fn hotspot_matrix(modes: &[WakeMode]) {
     }
     for protocol in &protocols() {
         let build = |mode| {
-            Simulation::build(
-                &topo,
+            Simulation::new(
+                &[CoexNetwork {
+                    topology: &topo,
+                    protocol: protocol.as_ref(),
+                }],
+                &UnitDisk,
                 Radio::cc2420(),
                 FrameSizes::default(),
-                protocol.as_ref(),
                 config(23, mode),
             )
             .expect("buildable disk")

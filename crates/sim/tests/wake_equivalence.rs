@@ -11,9 +11,11 @@
 //! bug in the skip/replay logic, not a tolerance question.
 
 use edmac_net::Topology;
+use edmac_phy::{ChannelModel, SinrChannel, UnitDisk};
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode, XmacSim,
+    CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode,
+    XmacSim,
 };
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -99,11 +101,14 @@ fn coarse_equals_dense_on_uniform_disks() {
     let topo = Topology::uniform_disk(60, 2.5, &mut rng).expect("connected disk");
     for protocol in &protocols() {
         let run = |mode| {
-            Simulation::build(
-                &topo,
+            Simulation::new(
+                &[CoexNetwork {
+                    topology: &topo,
+                    protocol: protocol.as_ref(),
+                }],
+                &UnitDisk,
                 Radio::cc2420(),
                 FrameSizes::default(),
-                protocol.as_ref(),
                 config(11, mode),
             )
             .expect("buildable disk")
@@ -125,11 +130,14 @@ fn coarse_equals_dense_on_lines() {
     let topo = Topology::line(7, 0.9).expect("chain");
     for protocol in &protocols() {
         let run = |mode| {
-            Simulation::build(
-                &topo,
+            Simulation::new(
+                &[CoexNetwork {
+                    topology: &topo,
+                    protocol: protocol.as_ref(),
+                }],
+                &UnitDisk,
                 Radio::cc2420(),
                 FrameSizes::default(),
-                protocol.as_ref(),
                 config(5, mode),
             )
             .expect("buildable line")
@@ -162,11 +170,14 @@ fn same_seed_reproduces_byte_identical_reports() {
             &format!("{} ring determinism", protocol.name()),
         );
         let disk_run = || {
-            Simulation::build(
-                &disk,
+            Simulation::new(
+                &[CoexNetwork {
+                    topology: &disk,
+                    protocol: protocol.as_ref(),
+                }],
+                &UnitDisk,
                 Radio::cc2420(),
                 FrameSizes::default(),
-                protocol.as_ref(),
                 config(23, WakeMode::Coarse),
             )
             .expect("buildable disk")
@@ -177,5 +188,112 @@ fn same_seed_reproduces_byte_identical_reports() {
             &disk_run(),
             &format!("{} disk determinism", protocol.name()),
         );
+    }
+}
+
+/// A 30 s horizon: the cases below are densely scheduled, and LMAC's
+/// replayed control sections show any unsound replay within seconds.
+fn short_config(seed: u64, scheduling: WakeMode) -> SimConfig {
+    SimConfig {
+        duration: Seconds::new(30.0),
+        ..config(seed, scheduling)
+    }
+}
+
+/// Two LMAC networks 1.5 range units apart on the unit disk: each
+/// hears the other's slots, which its own schedule knows nothing of.
+fn neighboring_lmac_networks(seed: u64, mode: WakeMode) -> Vec<SimReport> {
+    let lmac = LmacSim::new(Seconds::from_millis(10.0));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = Topology::ring_model(2, 3, &mut rng).expect("buildable ring");
+    let b = Topology::ring_model(2, 3, &mut rng)
+        .expect("buildable ring")
+        .translated(1.5, 0.0);
+    let networks = [
+        CoexNetwork {
+            topology: &a,
+            protocol: &lmac,
+        },
+        CoexNetwork {
+            topology: &b,
+            protocol: &lmac,
+        },
+    ];
+    Simulation::new(
+        &networks,
+        &UnitDisk,
+        Radio::cc2420(),
+        FrameSizes::default(),
+        short_config(seed, mode),
+    )
+    .expect("buildable networks")
+    .run_coexistence()
+}
+
+/// One LMAC ring on a flat SINR channel, whose interference-only links
+/// reach past the decode graph the slot schedule was built over.
+fn lmac_ring_on_sinr(seed: u64, mode: WakeMode) -> SimReport {
+    let lmac = LmacSim::new(Seconds::from_millis(10.0));
+    let channel = SinrChannel {
+        shadowing_sigma_db: 0.0,
+        ..SinrChannel::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ring = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
+    let network = CoexNetwork {
+        topology: &ring,
+        protocol: &lmac,
+    };
+    Simulation::new(
+        &[network],
+        &channel,
+        Radio::cc2420(),
+        FrameSizes::default(),
+        short_config(seed, mode),
+    )
+    .expect("buildable ring")
+    .run()
+}
+
+#[test]
+fn coarse_equals_dense_where_other_transmitters_are_audible() {
+    // A coarse replay is proven by a network's own schedule only; when
+    // a node can hear a transmitter outside it, the engine must not
+    // replay (LMAC's replayed control sections diverged here on every
+    // seed before that rule existed).
+    for seed in [3, 5, 9, 11] {
+        let coarse = neighboring_lmac_networks(seed, WakeMode::Coarse);
+        let dense = neighboring_lmac_networks(seed, WakeMode::Dense);
+        for (k, (c, d)) in coarse.iter().zip(&dense).enumerate() {
+            assert_identical(c, d, &format!("LMAC network {k} of 2, seed {seed}"));
+            assert_eq!(c.config().scheduling, WakeMode::Dense, "mode that ran");
+        }
+        let coarse = lmac_ring_on_sinr(seed, WakeMode::Coarse);
+        let dense = lmac_ring_on_sinr(seed, WakeMode::Dense);
+        assert_identical(&coarse, &dense, &format!("LMAC on SINR, seed {seed}"));
+        assert_eq!(coarse.config().scheduling, WakeMode::Dense, "mode that ran");
+    }
+}
+
+#[test]
+fn coarse_runs_where_the_schedule_covers_every_air_link() {
+    let lmac = LmacSim::new(Seconds::from_millis(10.0));
+    let mut rng = StdRng::seed_from_u64(7);
+    let ring = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
+    for channel in [&UnitDisk as &dyn ChannelModel, &SinrChannel::degenerate()] {
+        let network = CoexNetwork {
+            topology: &ring,
+            protocol: &lmac,
+        };
+        let report = Simulation::new(
+            &[network],
+            channel,
+            Radio::cc2420(),
+            FrameSizes::default(),
+            config(7, WakeMode::Coarse),
+        )
+        .expect("buildable ring")
+        .run();
+        assert_eq!(report.config().scheduling, WakeMode::Coarse, "{channel:?}");
     }
 }
