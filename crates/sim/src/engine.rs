@@ -13,11 +13,12 @@
 //! mutable run state — RNG stream, timer ids, transmit sequence
 //! numbers, packet ids, event sequence numbers, packet records — is
 //! per-node, and every queue tie-break is on the global
-//! `(time, node order, sequence)` key ([`crate::OrderKey`]), which is
-//! why the sharded run reproduces the sequential `SimReport` bit for
-//! bit (asserted by `tests/shard_equivalence.rs`).
+//! `(time, causal round, node order, sequence)` key
+//! ([`crate::OrderKey`]), which is why the sharded run reproduces the
+//! sequential `SimReport` bit for bit (asserted by
+//! `tests/shard_equivalence.rs`).
 
-use crate::events::Event;
+use crate::events::{AirBatch, AirSlab, Event, Transmission};
 use crate::frame::{Frame, FrameKind, Packet, PacketId};
 use crate::protocol::SimProtocol;
 pub use crate::protocols::MacNode;
@@ -342,8 +343,8 @@ pub(crate) struct Shared {
     max_depths: Vec<usize>,
     /// The run configuration, with the wake mode that actually runs.
     pub(crate) config: SimConfig,
-    /// `true` when the engine may elide air events to sleeping
-    /// receivers (decided by [`Simulation::new`]).
+    /// `true` when the engine may leave sleeping receivers out of a
+    /// transmission's air batches (decided by [`Simulation::new`]).
     cca_free: bool,
     /// Per-node traffic overriding [`SimConfig::sample_period`].
     traffic: Option<TrafficProfile>,
@@ -376,6 +377,17 @@ impl Shared {
         self.local_of[node.index()] as usize
     }
 
+    /// The `i`-th air neighbor of `src` and the power (mW) it receives
+    /// from `src` (`0.0` on the binary channel, which never reads it).
+    fn air_link(&self, src: NodeId, i: u32) -> (NodeId, f64) {
+        let i = i as usize;
+        let power_mw = match &self.channel {
+            ChannelKind::Binary => 0.0,
+            ChannelKind::Sinr { rx_power, .. } => rx_power[src.index()][i],
+        };
+        (self.neighbors[src.index()][i], power_mw)
+    }
+
     /// The network `node` belongs to (0 in a single-network build).
     fn network(&self, node: NodeId) -> usize {
         self.network_of[node.index()] as usize
@@ -400,9 +412,12 @@ pub(crate) struct ShardState {
     pub(crate) members: Vec<NodeId>,
     pub(crate) nodes: Vec<NodeState>,
     machines: Vec<Box<dyn MacNode>>,
-    /// Events emitted for other shards' nodes: `(dest shard, key,
-    /// event)`, routed by the coordinator at round boundaries.
-    pub(crate) outbox: Vec<(u32, OrderKey, Event)>,
+    /// The transmissions this shard's queued air batches name.
+    air: AirSlab,
+    /// Air batches emitted for other shards' nodes, one per
+    /// transmission and destination shard, routed by the coordinator
+    /// at round boundaries.
+    pub(crate) outbox: Vec<(u32, AirBatch)>,
     /// Per boundary node: a lazy min-heap of the times of events
     /// scheduled for it (a lower bound on its next queue handler,
     /// feeding the lookahead computation).
@@ -433,15 +448,39 @@ impl ShardState {
         }
     }
 
-    /// Schedules a shard-local event, tracking boundary pending times.
-    pub(crate) fn schedule_event(&mut self, shared: &Shared, key: OrderKey, event: Event) {
-        let dest = event.node();
+    /// Schedules a per-node event, tracking boundary pending times.
+    fn schedule_event(&mut self, shared: &Shared, key: OrderKey, event: Event) {
+        let dest = event.node().expect("air batches go through queue_air");
         debug_assert_eq!(shared.shard_of[dest.index()], self.id);
         let l = shared.local(dest);
         if self.boundary[l] {
             self.pending[l].push(Reverse(key.at));
         }
         self.events.schedule(key, event);
+    }
+
+    /// Queues the `AirStart` and `AirEnd` batches of record `tx` under
+    /// `start` and `end`, tracking both times as pending for every
+    /// boundary receiver the record covers.
+    fn queue_air(&mut self, shared: &Shared, start: OrderKey, end: OrderKey, tx: u32) {
+        let rec = &self.air[tx];
+        for &i in &rec.receivers {
+            let (node, _) = shared.air_link(rec.frame.src, i);
+            debug_assert_eq!(shared.shard_of[node.index()], self.id);
+            let l = shared.local(node);
+            if self.boundary[l] {
+                self.pending[l].push(Reverse(start.at));
+                self.pending[l].push(Reverse(end.at));
+            }
+        }
+        self.events.schedule(start, Event::AirStart { tx });
+        self.events.schedule(end, Event::AirEnd { tx });
+    }
+
+    /// Takes in an air batch another shard emitted for nodes here.
+    pub(crate) fn deliver_air(&mut self, shared: &Shared, batch: AirBatch) {
+        let tx = self.air.insert(batch.tx);
+        self.queue_air(shared, batch.start, batch.end, tx);
     }
 
     /// Registers (or supersedes) the single pending wake of a node.
@@ -680,85 +719,72 @@ impl Ctx<'_> {
 
         let start = now;
         let end = start.after(duration);
-        for i in 0..self.shared.neighbors[self.node.index()].len() {
-            let neighbor = self.shared.neighbors[self.node.index()][i];
-            let power_mw = match &self.shared.channel {
-                ChannelKind::Binary => 0.0,
-                ChannelKind::Sinr { rx_power, .. } => rx_power[self.node.index()][i],
-            };
-            let dest_shard = self.shared.shard_of[neighbor.index()];
+        let shared = self.shared;
+        // The frame is recorded once per shard that hears it. Every
+        // receiver still mints a pair of keys and each record is queued
+        // under its first receiver's pair: the later receivers' keys
+        // fall between that pair and this node's next entry, so no
+        // other entry sorts between the receivers of one batch.
+        let mut local: Option<(u32, OrderKey, OrderKey)> = None;
+        let mut remote: Vec<(u32, AirBatch)> = Vec::new();
+        for (i, &neighbor) in shared.neighbors[self.node.index()].iter().enumerate() {
+            let dest_shard = shared.shard_of[neighbor.index()];
+            // A receiver asleep at the first bit can never lock onto
+            // the frame; the only residue of delivering the frame to
+            // it would be the `air_count` the CCA primitive reads. For a
+            // protocol that never samples the channel (LMAC), that
+            // residue is unobservable, so the receiver is left out of
+            // the record. On the SINR channel every receiver stays in:
+            // its power contributes to the interference every *later*-
+            // locked frame there is judged against. A receiver in
+            // another shard always stays in too: its radio mode cannot
+            // be read here, and delivering to a sleeping CCA-free
+            // receiver is provably unobservable.
+            if dest_shard == self.shard.id
+                && matches!(shared.channel, ChannelKind::Binary)
+                && shared.cca_free
+                && self.shard.nodes[shared.local(neighbor)].radio.mode == Mode::Sleep
+            {
+                continue;
+            }
+            let k1 = self.next_key(start);
+            let k2 = self.next_key(end);
+            let i = i as u32;
             if dest_shard == self.shard.id {
-                // A receiver asleep at the first bit can never lock
-                // onto the frame; the only residue of delivering its
-                // air events would be the `air_count` the CCA primitive
-                // reads. For a protocol that never samples the channel
-                // (LMAC), that residue is unobservable, so the pair is
-                // elided. On the SINR channel the pair always ships:
-                // its power contributes to the interference every
-                // *later*-locked frame at this receiver is judged
-                // against.
-                let nl = self.shared.local(neighbor);
-                if matches!(self.shared.channel, ChannelKind::Binary)
-                    && self.shared.cca_free
-                    && self.shard.nodes[nl].radio.mode == Mode::Sleep
-                {
-                    continue;
-                }
-                let k1 = self.next_key(start);
-                self.shard.schedule_event(
-                    self.shared,
-                    k1,
-                    Event::AirStart {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                );
-                let k2 = self.next_key(end);
-                self.shard.schedule_event(
-                    self.shared,
-                    k2,
-                    Event::AirEnd {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                );
+                let tx = match local {
+                    Some((tx, _, _)) => tx,
+                    None => {
+                        let tx = self.shard.air.open(tx_seq, frame);
+                        local = Some((tx, k1, k2));
+                        tx
+                    }
+                };
+                self.shard.air[tx].receivers.push(i);
             } else {
-                // Cross-shard receivers always get the air pair: their
-                // radio mode cannot be read here, and delivering to a
-                // sleeping CCA-free receiver is provably unobservable
-                // (air_count is only read by the CCA primitive, which
-                // a cca_free protocol never calls).
-                let k1 = self.next_key(start);
-                self.shard.outbox.push((
-                    dest_shard,
-                    k1,
-                    Event::AirStart {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                ));
-                let k2 = self.next_key(end);
-                self.shard.outbox.push((
-                    dest_shard,
-                    k2,
-                    Event::AirEnd {
-                        node: neighbor,
-                        tx_seq,
-                        frame,
-                        power_mw,
-                    },
-                ));
+                match remote.iter_mut().find(|(s, _)| *s == dest_shard) {
+                    Some((_, batch)) => batch.tx.receivers.push(i),
+                    None => remote.push((
+                        dest_shard,
+                        AirBatch {
+                            start: k1,
+                            end: k2,
+                            tx: Transmission {
+                                tx_seq,
+                                frame,
+                                receivers: vec![i],
+                            },
+                        },
+                    )),
+                }
             }
         }
+        if let Some((tx, k1, k2)) = local {
+            self.shard.queue_air(shared, k1, k2, tx);
+        }
+        self.shard.outbox.append(&mut remote);
         let k = self.next_key(end);
         self.shard
-            .schedule_event(self.shared, k, Event::TxDone { node: self.node });
+            .schedule_event(shared, k, Event::TxDone { node: self.node });
     }
 
     /// Replays, straight into the energy ledger, one idle wake-up that
@@ -874,10 +900,136 @@ where
     shard.register_wake(local, node, want);
 }
 
-/// Delivers one event to shard-local state and the destination node.
-/// `round` is the causal round for same-instant follow-ups (the
-/// event's own round plus one).
-fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
+/// A frame's first bit arrives at `node`, received at `power_mw`.
+fn air_start(
+    shared: &Shared,
+    st: &mut NodeState,
+    now: SimTime,
+    node: NodeId,
+    tx_seq: u64,
+    frame: &Frame,
+    power_mw: f64,
+) {
+    st.air_count += 1;
+    match &shared.channel {
+        ChannelKind::Binary => match st.radio.mode {
+            Mode::Listen => {
+                if st.active_rx.is_none() {
+                    let cause = frame.kind.rx_cause(frame.addressed_to(node));
+                    st.set_mode(now, Mode::Rx, cause);
+                    st.active_rx = Some(ActiveRx::lock(tx_seq, 0.0, f64::INFINITY, false));
+                } else if let Some(rx) = &mut st.active_rx {
+                    // A second in-range transmission: collision.
+                    rx.corrupted = true;
+                }
+            }
+            Mode::Rx => {
+                if let Some(rx) = &mut st.active_rx {
+                    rx.corrupted = true;
+                }
+            }
+            Mode::Sleep | Mode::Startup | Mode::Tx => {}
+        },
+        ChannelKind::Sinr { params, .. } => {
+            st.tally.add(power_mw);
+            if let Some(rx) = &mut st.active_rx {
+                // An interferer arrived over a locked frame: with
+                // capture on, the lock survives while its SINR clears
+                // the threshold; with capture off, any overlap destroys
+                // it (the binary rule). Corruption latches — a strong
+                // frame that once dipped below threshold stays lost
+                // even if the interferer ends first.
+                let sinr = st.tally.sinr(rx.signal_mw, params.noise_mw);
+                match params.capture {
+                    Some(c) => {
+                        rx.overlapped = true;
+                        rx.min_sinr = rx.min_sinr.min(sinr);
+                        if sinr < c {
+                            rx.corrupted = true;
+                        }
+                    }
+                    None => rx.corrupted = true,
+                }
+            } else if st.radio.mode == Mode::Listen {
+                if power_mw < params.sensitivity_mw {
+                    // Audible energy, undecodable signal: the radio
+                    // never syncs on it.
+                    st.counters.record_below_noise();
+                } else {
+                    let sinr = st.tally.sinr(power_mw, params.noise_mw);
+                    let interference = st.tally.power_mw() - power_mw;
+                    let (locks, overlapped) = match params.capture {
+                        // Capture decides the lock against the ongoing
+                        // interference.
+                        Some(c) => (sinr >= c, interference > 0.0),
+                        // Capture off: first arrival locks
+                        // unconditionally, exactly like the binary
+                        // engine (a node waking into an ongoing frame's
+                        // tail still locks the next arrival cleanly).
+                        None => (true, false),
+                    };
+                    if locks {
+                        let cause = frame.kind.rx_cause(frame.addressed_to(node));
+                        st.set_mode(now, Mode::Rx, cause);
+                        st.active_rx = Some(ActiveRx::lock(tx_seq, power_mw, sinr, overlapped));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A frame's last bit leaves the air at `node`, which was receiving it
+/// at `power_mw`; a clean decode of a same-network frame runs the
+/// node's `on_frame` in causal round `round`.
+fn air_end(
+    shared: &Shared,
+    shard: &mut ShardState,
+    round: u32,
+    node: NodeId,
+    tx_seq: u64,
+    frame: &Frame,
+    power_mw: f64,
+) {
+    let now = shard.now;
+    let st = &mut shard.nodes[shared.local(node)];
+    st.air_count = st.air_count.saturating_sub(1);
+    if let ChannelKind::Sinr { .. } = &shared.channel {
+        st.tally.remove(power_mw);
+    }
+    let finished = match &st.active_rx {
+        Some(rx) if rx.tx_seq == tx_seq => Some((rx.corrupted, rx.min_sinr, rx.overlapped)),
+        _ => None,
+    };
+    if let Some((corrupted, min_sinr, overlapped)) = finished {
+        st.active_rx = None;
+        // Back to plain listening; the node decides what happens next.
+        st.set_mode(now, Mode::Listen, Cause::CarrierSense);
+        if corrupted {
+            st.counters.record_collision();
+        } else {
+            st.counters.record_rx(frame.kind);
+            if overlapped {
+                st.counters.record_captured();
+            }
+            if min_sinr.is_finite() {
+                st.sinr_db_sum += 10.0 * min_sinr.log10();
+                st.sinr_decoded += 1;
+            }
+            // Cross-network frames decode at the radio but never reach
+            // the MAC state machine (PAN filter).
+            if shared.network(frame.src) == shared.network(node) {
+                with_node(shared, shard, node, round, |n, ctx| n.on_frame(ctx, frame));
+            }
+        }
+    }
+}
+
+/// Delivers one event, queued under `key`, to shard-local state and
+/// the destination nodes. Same-instant follow-ups land in the causal
+/// round after the event's own.
+fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event) {
+    let round = key.round + 1;
     match event {
         Event::Generate { node } => {
             let local = shared.local(node);
@@ -934,126 +1086,38 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, round: u32, event: Event) {
             st.set_mode(now, Mode::Listen, cause);
             with_node(shared, shard, node, round, |n, ctx| n.on_radio_ready(ctx));
         }
-        Event::AirStart {
-            node,
-            tx_seq,
-            frame,
-            power_mw,
-        } => {
-            let local = shared.local(node);
+        Event::AirStart { tx } => {
             let now = shard.now;
-            let st = &mut shard.nodes[local];
-            st.air_count += 1;
-            match &shared.channel {
-                ChannelKind::Binary => match st.radio.mode {
-                    Mode::Listen => {
-                        if st.active_rx.is_none() {
-                            let cause = frame.kind.rx_cause(frame.addressed_to(node));
-                            st.set_mode(now, Mode::Rx, cause);
-                            st.active_rx = Some(ActiveRx::lock(tx_seq, 0.0, f64::INFINITY, false));
-                        } else if let Some(rx) = &mut st.active_rx {
-                            // A second in-range transmission: collision.
-                            rx.corrupted = true;
-                        }
-                    }
-                    Mode::Rx => {
-                        if let Some(rx) = &mut st.active_rx {
-                            rx.corrupted = true;
-                        }
-                    }
-                    Mode::Sleep | Mode::Startup | Mode::Tx => {}
-                },
-                ChannelKind::Sinr { params, .. } => {
-                    st.tally.add(power_mw);
-                    if let Some(rx) = &mut st.active_rx {
-                        // An interferer arrived over a locked frame:
-                        // with capture on, the lock survives while its
-                        // SINR clears the threshold; with capture off,
-                        // any overlap destroys it (the binary rule).
-                        // Corruption latches — a strong frame that
-                        // once dipped below threshold stays lost even
-                        // if the interferer ends first.
-                        let sinr = st.tally.sinr(rx.signal_mw, params.noise_mw);
-                        match params.capture {
-                            Some(c) => {
-                                rx.overlapped = true;
-                                rx.min_sinr = rx.min_sinr.min(sinr);
-                                if sinr < c {
-                                    rx.corrupted = true;
-                                }
-                            }
-                            None => rx.corrupted = true,
-                        }
-                    } else if st.radio.mode == Mode::Listen {
-                        if power_mw < params.sensitivity_mw {
-                            // Audible energy, undecodable signal: the
-                            // radio never syncs on it.
-                            st.counters.record_below_noise();
-                        } else {
-                            let sinr = st.tally.sinr(power_mw, params.noise_mw);
-                            let interference = st.tally.power_mw() - power_mw;
-                            let (locks, overlapped) = match params.capture {
-                                // Capture decides the lock against the
-                                // ongoing interference.
-                                Some(c) => (sinr >= c, interference > 0.0),
-                                // Capture off: first arrival locks
-                                // unconditionally, exactly like the
-                                // binary engine (a node waking into an
-                                // ongoing frame's tail still locks the
-                                // next arrival cleanly).
-                                None => (true, false),
-                            };
-                            if locks {
-                                let cause = frame.kind.rx_cause(frame.addressed_to(node));
-                                st.set_mode(now, Mode::Rx, cause);
-                                st.active_rx =
-                                    Some(ActiveRx::lock(tx_seq, power_mw, sinr, overlapped));
-                            }
-                        }
-                    }
-                }
+            let rec = &shard.air[tx];
+            for &i in &rec.receivers {
+                let (node, power_mw) = shared.air_link(rec.frame.src, i);
+                let st = &mut shard.nodes[shared.local(node)];
+                air_start(shared, st, now, node, rec.tx_seq, &rec.frame, power_mw);
             }
         }
-        Event::AirEnd {
-            node,
-            tx_seq,
-            frame,
-            power_mw,
-        } => {
-            let local = shared.local(node);
+        Event::AirEnd { tx } => {
             let now = shard.now;
-            let st = &mut shard.nodes[local];
-            st.air_count = st.air_count.saturating_sub(1);
-            if let ChannelKind::Sinr { .. } = &shared.channel {
-                st.tally.remove(power_mw);
-            }
-            let finished = match &st.active_rx {
-                Some(rx) if rx.tx_seq == tx_seq => Some((rx.corrupted, rx.min_sinr, rx.overlapped)),
-                _ => None,
-            };
-            if let Some((corrupted, min_sinr, overlapped)) = finished {
-                st.active_rx = None;
-                // Back to plain listening; the node decides what
-                // happens next.
-                st.set_mode(now, Mode::Listen, Cause::CarrierSense);
-                if corrupted {
-                    st.counters.record_collision();
-                } else {
-                    st.counters.record_rx(frame.kind);
-                    if overlapped {
-                        st.counters.record_captured();
-                    }
-                    if min_sinr.is_finite() {
-                        st.sinr_db_sum += 10.0 * min_sinr.log10();
-                        st.sinr_decoded += 1;
-                    }
-                    // Cross-network frames decode at the radio but
-                    // never reach the MAC state machine (PAN filter).
-                    if shared.network(frame.src) == shared.network(node) {
-                        with_node(shared, shard, node, round, |n, ctx| n.on_frame(ctx, &frame));
-                    }
+            let (tx_seq, frame) = (shard.air[tx].tx_seq, shard.air[tx].frame);
+            let mut receivers = std::mem::take(&mut shard.air[tx].receivers);
+            for (j, &i) in receivers.iter().enumerate() {
+                let (node, power_mw) = shared.air_link(frame.src, i);
+                air_end(shared, shard, round, node, tx_seq, &frame, power_mw);
+                // Wakes win ties: a wake this receiver's handler
+                // registered at `now` fires before the next receiver's
+                // `AirEnd`, so the rest of the batch goes back under its
+                // key (no other entry sorts between the two).
+                let local = shared.local(node);
+                let wake_due = shard.nodes[local]
+                    .wake_current
+                    .is_some_and(|(t, _)| t <= now);
+                if wake_due && j + 1 < receivers.len() {
+                    receivers.drain(..=j);
+                    shard.air[tx].receivers = receivers;
+                    shard.events.schedule(key, Event::AirEnd { tx });
+                    return;
                 }
             }
+            shard.air.release(tx, receivers);
         }
         Event::TxDone { node } => {
             let local = shared.local(node);
@@ -1114,7 +1178,7 @@ pub(crate) fn advance(
             }
             let (_, ev) = shard.events.pop().expect("peeked event exists");
             shard.now = key.at;
-            dispatch(shared, shard, key.round + 1, ev);
+            dispatch(shared, shard, key, ev);
         }
         done += 1;
         limit -= 1;
@@ -1193,10 +1257,10 @@ impl Simulation {
     ///   `config.seed`; with several, network `k` gets its own
     ///   decorrelated seed (so e.g. LMAC's slot-assignment RNG differs
     ///   per network).
-    /// * **CCA-free air-pair elision.** Air events to sleeping
-    ///   receivers are elided only for a single network on a binary
-    ///   channel whose protocol never samples the channel
-    ///   ([`SimProtocol::cca_free`]).
+    /// * **CCA-free receiver elision.** Receivers asleep when a frame
+    ///   starts are left out of its air batches only for a single
+    ///   network on a binary channel whose protocol never samples the
+    ///   channel ([`SimProtocol::cca_free`]).
     /// * **Wake mode.** A requested [`WakeMode::Coarse`] runs as
     ///   [`WakeMode::Dense`] unless every air link of the realized field
     ///   is a decode edge within one network (see [`WakeMode::Coarse`]);
@@ -1558,6 +1622,7 @@ fn build_shards(
             members,
             nodes,
             machines,
+            air: AirSlab::default(),
             outbox: Vec::new(),
             pending,
             boundary,

@@ -34,9 +34,10 @@ pub trait SimProtocol: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// `true` when every node of this protocol *never* samples the
-    /// channel (no CCA). The engine then elides air events to sleeping
-    /// receivers — the only observable residue of delivering them
-    /// would be the `air_count` the CCA primitive reads.
+    /// channel (no CCA). The engine then leaves receivers that are
+    /// asleep when a frame starts out of that transmission's air batch —
+    /// the only observable residue of delivering it to them would be
+    /// the `air_count` the CCA primitive reads.
     fn cca_free(&self) -> bool {
         false
     }

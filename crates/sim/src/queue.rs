@@ -168,12 +168,15 @@ const RETUNE_WORK_FLOOR: u64 = 256;
 /// global minimum — slower, never wrong.
 ///
 /// Buckets are heaps rather than sorted vectors for one load-bearing
-/// reason: same-instant event storms. A strobe's zero-delay fan-out
-/// can cascade hundreds of entries onto a single instant, and every
-/// one of them lands in the same bucket *no matter how the width is
-/// tuned*; a sorted `Vec` pays an O(run) memmove per insert there
-/// (quadratic per storm), while a heap pays O(log run) and in the
-/// worst case merely degrades to exactly [`HeapQueue`]'s behavior.
+/// reason: same-instant event storms. A transmission queues one
+/// `AirStart` batch for all its receivers in a shard, but every node
+/// reacting to the same slot boundary or the same frame end queues its
+/// own entries at that instant, so hundreds can pile onto a single
+/// instant, and every one of them lands in the same bucket *no matter
+/// how the width is tuned*; a sorted `Vec` pays an O(run) memmove per
+/// insert there (quadratic per storm), while a heap pays O(log run)
+/// and in the worst case merely degrades to exactly [`HeapQueue`]'s
+/// behavior.
 ///
 /// The pop order is exactly [`OrderKey`]'s total order; the property
 /// tests in `crates/sim/tests/queue_properties.rs` assert it matches

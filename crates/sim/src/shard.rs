@@ -2,9 +2,10 @@
 //!
 //! The topology is cut on the unit-disk graph into `k` contiguous
 //! spatial shards; each shard runs on its own worker thread with its
-//! own calendar queues, and cross-shard air events flow through a
-//! coordinator under **wake-derived lookahead bounds** — the
-//! null-message-free conservative scheme the duty cycle makes cheap:
+//! own calendar queues, and cross-shard air batches (one per
+//! transmission and destination shard) flow through a coordinator
+//! under **wake-derived lookahead bounds** — the null-message-free
+//! conservative scheme the duty cycle makes cheap:
 //!
 //! * a **sleeping** boundary node cannot transmit before its next
 //!   handler (its earliest pending event or registered wake) **plus a
@@ -15,19 +16,23 @@
 //!   pending event or wake, nor can a newly arriving frame make it
 //!   react before `now + min_airtime`.
 //!
-//! Each round the coordinator delivers routed cross-shard events,
+//! Each round the coordinator delivers routed cross-shard batches,
 //! computes every shard's bound as the minimum lookahead of its
 //! neighbors' boundary nodes, and advances all shards with work below
 //! their bound concurrently. When no shard has such work it falls back
 //! to serializing exactly one item — the globally next one under the
 //! sequential engine's own rule (earliest wake/event by
-//! `(time, node, seq)`, wakes winning ties) — so progress is
+//! `(time, round, node, seq)`, wakes winning ties) — so progress is
 //! unconditional and the executed order is provably the sequential
-//! order. That, plus per-node RNG/counter streams and globally keyed
-//! queues, is what makes the sharded `SimReport` bit-identical.
+//! order. An item is one queue entry, so an air batch runs whole: its
+//! receivers in the shard are deliveries the sequential order runs
+//! back to back (no other key sorts between them), and the same
+//! transmission's deliveries in other shards commute with them. That,
+//! plus per-node RNG/counter streams and globally keyed queues, is
+//! what makes the sharded `SimReport` bit-identical.
 
 use crate::engine::{advance, finish_shard, peek_wake, ShardState, Shared};
-use crate::events::Event;
+use crate::events::AirBatch;
 use crate::queue::{EventQueue, OrderKey};
 use edmac_net::{NodeId, Point2};
 use std::cmp::Reverse;
@@ -135,22 +140,22 @@ impl ShardPlan {
 /// What the coordinator knows about a shard between rounds.
 struct Status {
     shard: u32,
-    /// Earliest valid pending wake, by `(time, node, seq)`.
+    /// Earliest valid pending wake, by `(time, round, node, seq)`.
     next_wake: Option<OrderKey>,
-    /// Earliest pending event, by `(time, node, seq)`.
+    /// Earliest pending event, by `(time, round, node, seq)`.
     next_event: Option<OrderKey>,
     /// Per adjacent shard: a lower bound (ns) on the time of any
     /// event this shard will ever emit toward it, valid until this
     /// shard's state next changes.
     bounds_to: Vec<(u32, u64)>,
-    /// Cross-shard events emitted since the last status.
-    emissions: Vec<(u32, OrderKey, Event)>,
+    /// Cross-shard air batches emitted since the last status.
+    emissions: Vec<(u32, AirBatch)>,
 }
 
 /// Coordinator → worker commands.
 enum ToWorker {
-    /// Insert routed cross-shard events, then report status.
-    Deliver(Vec<(OrderKey, Event)>),
+    /// Insert routed cross-shard air batches, then report status.
+    Deliver(Vec<AirBatch>),
     /// Process all items with time strictly below `bound`, then
     /// report status.
     Advance { bound: u64 },
@@ -251,9 +256,9 @@ pub(crate) fn run_parallel(shared: &Shared, shards: Vec<ShardState>) -> Vec<Shar
                     .expect("coordinator outlives workers");
                 while let Ok(cmd) = rx.recv() {
                     match cmd {
-                        ToWorker::Deliver(items) => {
-                            for (key, event) in items {
-                                shard.schedule_event(shared, key, event);
+                        ToWorker::Deliver(batches) => {
+                            for batch in batches {
+                                shard.deliver_air(shared, batch);
                             }
                         }
                         ToWorker::Advance { bound } => {
@@ -278,14 +283,14 @@ pub(crate) fn run_parallel(shared: &Shared, shards: Vec<ShardState>) -> Vec<Shar
         }
 
         let mut statuses: Vec<Option<Status>> = (0..k).map(|_| None).collect();
-        let mut inboxes: Vec<Vec<(OrderKey, Event)>> = (0..k).map(|_| Vec::new()).collect();
+        let mut inboxes: Vec<Vec<AirBatch>> = (0..k).map(|_| Vec::new()).collect();
         let route = |status: Status,
                      statuses: &mut Vec<Option<Status>>,
-                     inboxes: &mut Vec<Vec<(OrderKey, Event)>>| {
+                     inboxes: &mut Vec<Vec<AirBatch>>| {
             let id = status.shard as usize;
             let mut status = status;
-            for (dest, key, event) in status.emissions.drain(..) {
-                inboxes[dest as usize].push((key, event));
+            for (dest, batch) in status.emissions.drain(..) {
+                inboxes[dest as usize].push(batch);
             }
             statuses[id] = Some(status);
         };
@@ -359,7 +364,7 @@ pub(crate) fn run_parallel(shared: &Shared, shards: Vec<ShardState>) -> Vec<Shar
                 break;
             }
             // Note: a key names its *minting* node (cross-shard air
-            // events carry the sender's key), so the dispatch target
+            // batches carry the sender's key), so the dispatch target
             // is the shard whose queue holds the item, not
             // `shard_of[key.node]`.
             let min_wake = statuses

@@ -4,11 +4,13 @@
 
 mod common;
 
+use std::sync::{Arc, Mutex};
+
 use common::{scripted, Listener, Mute, Talker};
 use edmac_net::{NodeId, Point2, Topology};
 use edmac_phy::UnitDisk;
-use edmac_radio::{FrameSizes, Radio};
-use edmac_sim::FrameKind;
+use edmac_radio::{Cause, FrameSizes, Radio};
+use edmac_sim::{Ctx, Frame, FrameKind, MacNode, Packet, SimTime};
 use edmac_units::Seconds;
 
 /// Hidden-terminal triangle: talkers at the ends, listener in the
@@ -165,4 +167,78 @@ fn energy_ledger_charges_the_scripted_activity() {
         (listen_j - expected_listen).abs() < 0.05 * expected_listen,
         "listener charged {listen_j} J, expected about {expected_listen} J"
     );
+}
+
+/// A listener that logs every frame its MAC is handed and, if
+/// `wakes`, asks to be woken at the instant it heard one.
+#[derive(Debug)]
+struct WakingListener {
+    me: usize,
+    wakes: bool,
+    wake_now: bool,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl MacNode for WakingListener {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(Seconds::new(0.5), 1);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u32, _: u64) {
+        ctx.wake(Cause::CarrierSense);
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {
+        self.log.lock().unwrap().push(format!("frame {}", self.me));
+        self.wake_now = self.wakes;
+    }
+    fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
+        self.wake_now.then(|| ctx.now())
+    }
+    fn on_wake(&mut self, _: &mut Ctx<'_>) {
+        self.log.lock().unwrap().push(format!("wake {}", self.me));
+        self.wake_now = false;
+    }
+    fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
+    fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
+    fn on_radio_ready(&mut self, _: &mut Ctx<'_>) {}
+}
+
+#[test]
+fn wakes_registered_by_a_receiver_fire_before_the_next_receiver_hears() {
+    // A star: the talker (node 0, also the sink) in the middle, four
+    // listeners around it that all hear its one frame end at the same
+    // instant. Listeners 1 and 3 ask for a wake at that instant; wakes
+    // win ties with events, so each wake must run before the next
+    // listener is handed the frame.
+    let topo = Topology::from_positions(vec![
+        Point2::new(0.0, 0.0),
+        Point2::new(0.5, 0.0),
+        Point2::new(0.0, 0.5),
+        Point2::new(-0.5, 0.0),
+        Point2::new(0.0, -0.5),
+    ])
+    .unwrap();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let shared_log = Arc::clone(&log);
+    let report = scripted(&topo, &UnitDisk, move |u| -> Box<dyn MacNode> {
+        match u {
+            0 => Box::new(Talker {
+                tx_at: Seconds::new(1.0),
+                dst: NodeId::new(1),
+            }),
+            _ => Box::new(WakingListener {
+                me: u,
+                wakes: u == 1 || u == 3,
+                wake_now: false,
+                log: Arc::clone(&shared_log),
+            }),
+        }
+    })
+    .run();
+    assert_eq!(
+        *log.lock().unwrap(),
+        ["frame 1", "wake 1", "frame 2", "frame 3", "wake 3", "frame 4"]
+    );
+    for u in 1..=4 {
+        assert_eq!(report.per_node()[u].counters.rx(FrameKind::Data), 1);
+    }
 }

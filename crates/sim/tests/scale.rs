@@ -10,7 +10,7 @@
 //!   slot wakes and actual frames. This is the cell that must beat
 //!   real time *sequentially*, on any machine.
 //! * **X-MAC** (LPL): every hop is a strobe train fanned out to every
-//!   neighbor (~25M air events per 10 simulated seconds at this
+//!   neighbor (~25M frame arrivals per 10 simulated seconds at this
 //!   density), which no single core simulates in real time — this is
 //!   exactly the workload sharding exists for, so the real-time and
 //!   ≥3× speedup assertions arm when ≥4 cores are available.
