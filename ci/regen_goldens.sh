@@ -1,16 +1,12 @@
 #!/usr/bin/env bash
 # Rebuild every checked-in scientific artifact in one command:
 #
-#   ci/regen_goldens.sh            # goldens only
-#   ci/regen_goldens.sh --bench    # goldens + BENCH_BASELINE.json
+#   ci/regen_goldens.sh
 #
 # The study smoke grid and the four figure binaries are deterministic
 # (fixed seeds), so `ci/golden/` is reproducible bit for bit; rerun this
 # after any deliberate change to model formulas, grid axes, or artifact
-# schemas, and review the diff like code. `--bench` additionally reruns
-# the criterion quick profile and rewrites `ci/BENCH_BASELINE.json`
-# (hardware-dependent — re-baseline on the machine class CI uses, or
-# accept the ±30% guard band absorbing the difference).
+# schemas, and review the diff like code.
 #
 # Cache discipline: a golden regeneration means cell outcomes changed,
 # so any study cache populated before the change is stale *in meaning*.
@@ -53,13 +49,5 @@ echo "== figure binaries -> ci/golden/"
 for fig in fig1 fig2 fairness sim_validation; do
   cargo run --release --bin "$fig" > "ci/golden/$fig.csv"
 done
-
-if [[ "${1:-}" == "--bench" ]]; then
-  echo "== criterion quick profile -> ci/BENCH_BASELINE.json"
-  rm -f target/bench.jsonl
-  CRITERION_SAMPLE_SIZE=5 CRITERION_JSON="$PWD/target/bench.jsonl" \
-    cargo bench --workspace
-  python3 ci/bench_guard.py target/bench.jsonl ci/BENCH_BASELINE.json --write-baseline
-fi
 
 echo "== done; review with: git diff ci/"

@@ -1,5 +1,4 @@
-//! Shared plumbing for the figure-regeneration binaries and criterion
-//! benches.
+//! Shared plumbing for the figure-regeneration and study binaries.
 //!
 //! The binaries print the exact series the paper's figures plot:
 //!

@@ -1,4 +1,4 @@
-//! Concurrency gauntlet: the single-flight acceptance criterion (≥100
+//! Concurrency gauntlet: the single-flight acceptance check (≥100
 //! concurrent identical cold queries → exactly one solve) and the
 //! corruption contract (concurrent or torn entry writes degrade to a
 //! miss, never a wrong answer).
@@ -70,7 +70,7 @@ fn a_hundred_concurrent_identical_cold_queries_solve_exactly_once() {
         "every response must carry identical bytes"
     );
 
-    // The observable acceptance criterion: exactly one solve.
+    // The observable acceptance check: exactly one solve.
     let mut client = Client::connect(addr).unwrap();
     let Response::Stats(stats) = client.request(&Request::Stats).unwrap() else {
         panic!("expected stats");

@@ -199,6 +199,26 @@ fn malformed_and_unknown_requests_answer_errors_not_hangs() {
 }
 
 #[test]
+fn deeply_nested_line_answers_an_error_and_the_connection_keeps_serving() {
+    let root = temp_root("nesting");
+    let server = start(root.join("cache"), 1, 16);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // Deep enough to overflow a worker's default stack if the parser
+    // recursed without a bound; that would abort the whole process.
+    let line = client.exchange_line(&"[".repeat(100_000)).unwrap();
+    let Response::Error { message } = Response::parse(&line).unwrap() else {
+        panic!("a deeply nested line must answer an error");
+    };
+    assert!(message.contains("nesting"), "{message}");
+    let Response::Stats(_) = client.request(&Request::Stats).unwrap() else {
+        panic!("the same connection must still answer stats");
+    };
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn full_queue_sheds_with_an_explicit_overloaded_status() {
     let root = temp_root("shed");
     // One worker, queue bound 1: the worker parks on an idle open

@@ -329,9 +329,16 @@ impl Json {
 // `null`). Numbers stay raw tokens so u64 seeds and shortest-round-trip
 // floats parse losslessly on demand.
 
+/// The deepest container nesting [`Json::parse`] accepts. Far above
+/// any manifest, cache entry or wire line; it bounds the parser's
+/// recursion so a hostile line cannot overflow a worker thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -339,6 +346,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -371,8 +379,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> ParseResult<Json> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -541,6 +563,23 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        ))
+        .is_err());
+        // Unbounded recursion would overflow the stack long before a
+        // million levels and abort the process instead of returning.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

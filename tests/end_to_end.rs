@@ -101,24 +101,85 @@ fn nash_beats_the_alternatives_on_its_own_criterion() {
     }
 }
 
+/// Forwards every call to `inner` and counts `performance` calls: the
+/// work one NBS solve does, measured without a timer.
+struct CountingModel<'a> {
+    inner: &'a dyn MacModel,
+    calls: std::cell::Cell<usize>,
+}
+
+impl MacModel for CountingModel<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn parameter_names(&self) -> &'static [&'static str] {
+        self.inner.parameter_names()
+    }
+    fn bounds(&self, env: &Deployment) -> edmac::optim::Bounds {
+        self.inner.bounds(env)
+    }
+    fn configure(&self, env: &Deployment) -> edmac::mac::ProtocolConfig {
+        self.inner.configure(env)
+    }
+    fn performance(
+        &self,
+        x: &[f64],
+        env: &Deployment,
+    ) -> Result<MacPerformance, edmac::mac::MacError> {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.performance(x, env)
+    }
+    fn utilization_cap(&self) -> f64 {
+        self.inner.utilization_cap()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+}
+
 #[test]
 fn scalability_claim_solve_output_is_node_count_independent() {
     // The paper: "scalable with the increase in the number of nodes, as
     // the players represent the optimization metrics instead of nodes."
-    // Check the structural part here (identical machinery and solution
-    // quality across network sizes); wall-clock flatness is measured by
-    // the criterion bench `scalability`.
+    // A nodes-as-players game would grow with the node count C·D². Here
+    // the game stays two-player, so the work of one solve, counted as
+    // model evaluations, must not follow the node count. Each model
+    // evaluation loops over the D rings, which is the only size
+    // dependence left, and it is not counted here. Counts are
+    // deterministic, so the bounds carry no timer noise.
     let reqs = AppRequirements::new(Joules::new(0.2), Seconds::new(8.0)).unwrap();
-    for depth in [5usize, 10, 20, 40] {
-        let env =
-            Deployment::reference().with_network(edmac::net::RingModel::new(depth, 4).unwrap());
-        let xmac = Xmac::default();
-        let report = TradeoffAnalysis::new(&xmac, &env, reqs)
-            .bargain()
-            .unwrap_or_else(|e| panic!("D={depth}: {e}"));
-        assert!(report.nbs.params[0] > 0.0);
-        // Deeper networks pay more latency at the agreement.
-        assert!(report.l_star() > 0.0);
+    // (axis, ring shapes (D, C), max/min evaluation-count bound).
+    // Density: C = 2..16 at D = 10 is 200 -> 1 600 nodes. Depth:
+    // D = 5..40 at C = 4 is 100 -> 6 400 nodes.
+    let axes = [
+        ("density", [(10, 2), (10, 4), (10, 8), (10, 16)], 1.02),
+        ("depth", [(5, 4), (10, 4), (20, 4), (40, 4)], 1.10),
+    ];
+    for model in all_models() {
+        for (axis, shapes, bound) in axes {
+            let mut counts = Vec::new();
+            for (depth, density) in shapes {
+                let env =
+                    Deployment::reference().with_network(RingModel::new(depth, density).unwrap());
+                let counted = CountingModel {
+                    inner: model.as_ref(),
+                    calls: std::cell::Cell::new(0),
+                };
+                let report = TradeoffAnalysis::new(&counted, &env, reqs)
+                    .bargain()
+                    .unwrap_or_else(|e| panic!("{} D={depth} C={density}: {e}", model.name()));
+                assert!(report.nbs.params[0] > 0.0);
+                assert!(report.l_star() > 0.0);
+                counts.push(counted.calls.get());
+            }
+            let (lo, hi) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
+            assert!(lo > 0);
+            assert!(
+                hi as f64 <= bound * lo as f64,
+                "{} {axis}: evaluations per solve {counts:?} spread past {bound}",
+                model.name()
+            );
+        }
     }
 }
 
