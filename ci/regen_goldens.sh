@@ -37,6 +37,14 @@ head -1 ci/golden/study_cells.csv | grep -F "edmac-study/cells/v2"
 head -1 ci/golden/study_validation.csv | grep -F "edmac-study/validation/v2"
 grep -F '"schema": "edmac-study/summary/v2"' ci/golden/study_summary.json
 
+echo "== full grid validation -> ci/golden/full/"
+# The full grid's 27 validation simulations (600 s each) are the
+# packet-level work the smoke grid is too small to cover; its
+# validation table and summary are pinned, the cells are not.
+cargo run --release --bin study -- --out ci/golden/full
+rm -f ci/golden/full/manifest.json ci/golden/full/study_cells.csv
+head -1 ci/golden/full/study_validation.csv | grep -F "edmac-study/validation/v2"
+
 echo "== coexistence smoke -> ci/golden/"
 # Two networks (X-MAC, LMAC) on one shared SINR channel; shard count is
 # byte-invariant, so CI may rerun this with --shards 2 and still diff

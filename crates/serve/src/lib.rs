@@ -49,5 +49,5 @@ pub use flight::{FlightMap, FlightResult, FollowHandle, Joined};
 pub use hot::HotTier;
 pub use metrics::{Histogram, Metrics, StatsReport, TierStats, STATS_SCHEMA};
 pub use request::{Request, Response, SolveRequest, Tier, WIRE_SCHEMA};
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_LINE_BYTES};
 pub use signal::install_drain_flag;

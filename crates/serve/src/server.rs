@@ -15,7 +15,7 @@ use crate::request::{Request, Response, SolveRequest, Tier};
 use edmac_proto::ProtocolRegistry;
 use edmac_study::{item_key, render_entry, solve_cell, validate_cell, CellCache, SchemaVersions};
 use std::collections::VecDeque;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,6 +61,12 @@ impl Default for ServeConfig {
 /// How often blocked loops re-check the stop flag. Short enough that a
 /// drain completes promptly, long enough to stay off the profiler.
 const POLL: Duration = Duration::from_millis(25);
+
+/// The longest request line a worker reads, newline excluded (1 MiB).
+/// Requests are a few hundred bytes; a longer line is answered with an
+/// `error` and skipped, so no client can make a worker buffer without
+/// bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 struct Shared {
     cache: CellCache,
@@ -238,24 +244,50 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The line read so far; a read timeout keeps it, so a line split
+    // across the poll interval arrives whole.
+    let mut line: Vec<u8> = Vec::new();
+    // Set while the rest of an over-long line is being skipped.
+    let mut skipping = false;
+    let mut answer = |response: Response| {
+        if shared.log {
+            eprintln!("{}", response.log_line(&peer));
+        }
+        writeln!(writer, "{}", response.render())
+            .and_then(|()| writer.flush())
+            .is_ok()
+    };
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: client closed
+        // One byte past the cap, so an over-long line shows as such.
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => {
+                // EOF: answer an unterminated last line, then close.
+                if !skipping {
+                    if let Some(response) = handle_bytes(shared, &line) {
+                        answer(response);
+                    }
+                }
+                return;
+            }
             Ok(_) => {
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let response = handle_line(shared, trimmed);
-                if shared.log {
-                    eprintln!("{}", response.log_line(&peer));
-                }
-                if writeln!(writer, "{}", response.render())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                let ended = line.last() == Some(&b'\n');
+                let response = if skipping {
+                    skipping = !ended;
+                    None
+                } else if ended {
+                    handle_bytes(shared, &line)
+                } else if line.len() > MAX_LINE_BYTES {
+                    skipping = true;
+                    shared.metrics.record_error();
+                    Some(Response::Error {
+                        message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                    })
+                } else {
+                    continue; // EOF follows: the next read says so
+                };
+                line.clear();
+                if response.is_some_and(|response| !answer(response)) {
                     return;
                 }
             }
@@ -275,6 +307,18 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             return;
         }
     }
+}
+
+/// Answers one raw request line (`None` for a blank one).
+fn handle_bytes(shared: &Shared, line: &[u8]) -> Option<Response> {
+    let Ok(text) = std::str::from_utf8(line) else {
+        shared.metrics.record_error();
+        return Some(Response::Error {
+            message: "request line is not UTF-8".to_string(),
+        });
+    };
+    let trimmed = text.trim_end_matches(['\n', '\r']);
+    (!trimmed.is_empty()).then(|| handle_line(shared, trimmed))
 }
 
 fn handle_line(shared: &Shared, line: &str) -> Response {

@@ -2,7 +2,9 @@
 //! served outcomes against the offline runner, tier progression
 //! (solved → hot), deadlines, load-shedding, stats, and a clean drain.
 
-use edmac_serve::{Client, Request, Response, ServeConfig, Server, SolveRequest, Tier};
+use edmac_serve::{
+    Client, Request, Response, ServeConfig, Server, SolveRequest, Tier, MAX_LINE_BYTES,
+};
 use edmac_study::{run_study, RunOptions, StudyConfig};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -211,6 +213,33 @@ fn deeply_nested_line_answers_an_error_and_the_connection_keeps_serving() {
         panic!("a deeply nested line must answer an error");
     };
     assert!(message.contains("nesting"), "{message}");
+    let Response::Stats(_) = client.request(&Request::Stats).unwrap() else {
+        panic!("the same connection must still answer stats");
+    };
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn over_long_line_answers_an_error_and_the_connection_keeps_serving() {
+    let root = temp_root("long-line");
+    let server = start(root.join("cache"), 1, 16);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // One byte past the cap: refused unread, the rest skipped.
+    let line = client
+        .exchange_line(&"x".repeat(MAX_LINE_BYTES + 1))
+        .unwrap();
+    let Response::Error { message } = Response::parse(&line).unwrap() else {
+        panic!("an over-long line must answer an error");
+    };
+    assert!(message.contains("longer than"), "{message}");
+    // Exactly at the cap: read whole and handed to the parser.
+    let line = client.exchange_line(&"x".repeat(MAX_LINE_BYTES)).unwrap();
+    let Response::Error { message } = Response::parse(&line).unwrap() else {
+        panic!("garbage at the cap must answer a parse error");
+    };
+    assert!(!message.contains("longer than"), "{message}");
     let Response::Stats(_) = client.request(&Request::Stats).unwrap() else {
         panic!("the same connection must still answer stats");
     };

@@ -34,7 +34,6 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
-use std::collections::HashSet;
 
 /// How the engine schedules protocol clock ticks.
 ///
@@ -47,6 +46,15 @@ pub enum WakeMode {
     /// transmit, may receive from a schedule-known neighbor, or must
     /// sample the channel; elided idle ticks are replayed into the
     /// energy ledger arithmetically ([`Ctx::replay_idle_wake`]).
+    ///
+    /// A single network run on one shard also gets the quiet-network
+    /// fast path: while no node holds a packet and no packet is on the
+    /// air, nothing but schedule-fixed heartbeats can reach the air
+    /// before the next application sample, so X-MAC polls and DMAC
+    /// cycles whose whole window closes before it are replayed instead
+    /// of simulated ([`Ctx::quiet_until`]); LMAC does the same for a
+    /// slot whose owner is packet-free past its control
+    /// ([`Ctx::packet_free_until`]).
     ///
     /// A replay is proven only by a network's own schedule, so it is
     /// sound only when every transmission a node can hear comes from
@@ -264,7 +272,20 @@ pub(crate) struct NodeState {
     next_tx: u64,
     next_packet: u64,
     next_event_seq: u64,
-    cancelled_timers: HashSet<u64>,
+    /// Timers set and not yet popped, cancelled or not.
+    pending_timers: u32,
+    /// Ids of pending timers cancelled through [`Ctx::cancel_timer`]:
+    /// a handful at most, so a scan beats hashing. Emptied whenever no
+    /// timer is pending (any id left then is of a timer already gone).
+    cancelled_timers: Vec<u64>,
+    /// The node's last answer to [`MacNode::holds_packets`] (quiet
+    /// bookkeeping only).
+    holds: bool,
+    /// Whether the frame this node has on the air carries a packet.
+    tx_carries_packet: bool,
+    /// The instant of this node's pending application sample (never,
+    /// at a sink).
+    next_sample: SimTime,
     /// Records of packets *originating* here, in creation order.
     records: Vec<PacketRecord>,
 }
@@ -292,7 +313,11 @@ impl NodeState {
             next_tx: 0,
             next_packet: 0,
             next_event_seq: 0,
-            cancelled_timers: HashSet::new(),
+            pending_timers: 0,
+            cancelled_timers: Vec::new(),
+            holds: true,
+            tx_carries_packet: false,
+            next_sample: SimTime::from_nanos(u64::MAX),
             records: Vec::new(),
         }
     }
@@ -358,6 +383,9 @@ pub(crate) struct Shared {
     /// shortest delay after which one node's handler can create a
     /// *handler* (an `on_frame`) at another node.
     pub(crate) min_airtime_ns: u64,
+    /// The exact engine delta of each frame kind's airtime, in
+    /// nanoseconds, indexed by [`FrameKind::index`].
+    airtime_ns: [u64; FrameKind::ALL.len()],
 }
 
 impl Shared {
@@ -371,6 +399,11 @@ impl Shared {
             Some(burst) if burst.active(now) => Seconds::new(base.value() / burst.factor),
             _ => base,
         }
+    }
+
+    /// The end of a frame of `kind` sent at `at`.
+    fn frame_end(&self, at: SimTime, kind: FrameKind) -> SimTime {
+        SimTime::from_nanos(at.as_nanos() + self.airtime_ns[kind.index()])
     }
 
     pub(crate) fn local(&self, node: NodeId) -> usize {
@@ -430,6 +463,21 @@ pub(crate) struct ShardState {
     /// Sink-side delivery log: packet id → (time, hops), first write
     /// wins (in shard execution order).
     deliveries: HashMap<u64, (SimTime, u32)>,
+    /// The quiet-network bookkeeping; `None` (and [`Ctx::quiet_until`]
+    /// always `now`) unless the run is one network on one shard under
+    /// [`WakeMode::Coarse`].
+    quiet: Option<QuietLedger>,
+}
+
+/// What [`Ctx::quiet_until`] needs to know about the whole network.
+#[derive(Debug)]
+struct QuietLedger {
+    /// Nodes whose last [`MacNode::holds_packets`] answer was `true`.
+    holders: usize,
+    /// Frames on the air that carry a packet.
+    packet_air: usize,
+    /// The time of every pending `Generate` (one per non-sink node).
+    generates: BinaryHeap<Reverse<SimTime>>,
 }
 
 impl ShardState {
@@ -477,6 +525,39 @@ impl ShardState {
         self.events.schedule(end, Event::AirEnd { tx });
     }
 
+    /// Schedules `node`'s next application sample at `at`.
+    fn schedule_generate(
+        &mut self,
+        shared: &Shared,
+        local: usize,
+        node: NodeId,
+        at: SimTime,
+        round: u32,
+    ) {
+        let key = self.key_for(local, node, at, round);
+        self.schedule_event(shared, key, Event::Generate { node });
+        self.nodes[local].next_sample = at;
+        if let Some(quiet) = &mut self.quiet {
+            quiet.generates.push(Reverse(at));
+        }
+    }
+
+    /// Records whether the node at `local` now holds packets.
+    fn note_holds(&mut self, local: usize, holds: bool) {
+        let st = &mut self.nodes[local];
+        if st.holds == holds {
+            return;
+        }
+        st.holds = holds;
+        if let Some(quiet) = &mut self.quiet {
+            if holds {
+                quiet.holders += 1;
+            } else {
+                quiet.holders -= 1;
+            }
+        }
+    }
+
     /// Takes in an air batch another shard emitted for nodes here.
     pub(crate) fn deliver_air(&mut self, shared: &Shared, batch: AirBatch) {
         let tx = self.air.insert(batch.tx);
@@ -517,6 +598,23 @@ pub(crate) fn peek_wake(shared: &Shared, shard: &mut ShardState) -> Option<Order
         shard.wakes.pop();
     }
     None
+}
+
+/// What the radio did in a wake replayed through
+/// [`Ctx::replay_idle_wake`], once its startup finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdleWake<'a> {
+    /// Listened to silence, in consecutive pieces ending at these
+    /// instants (a protocol that re-labels its listen mid-wake, like
+    /// DMAC's transmit slot, ends a piece there), then slept.
+    Listen(&'a [SimTime]),
+    /// Received one frame of this kind, addressed elsewhere, starting
+    /// the instant the radio was up, then slept (LMAC's heartbeat from
+    /// a slot owner).
+    Receive(FrameKind),
+    /// Transmitted one frame of this kind the instant the radio was up,
+    /// then slept (LMAC's own-slot heartbeat).
+    Transmit(FrameKind),
 }
 
 /// The node-facing API: everything a [`MacNode`] may do to the world.
@@ -600,6 +698,7 @@ impl Ctx<'_> {
         let st = &mut self.shard.nodes[self.local];
         let id = ((self.node.index() as u64) << 32) | st.next_timer;
         st.next_timer += 1;
+        st.pending_timers += 1;
         let at = self.shard.now.after(delay);
         let key = self.next_key(at);
         self.shard.schedule_event(
@@ -616,7 +715,45 @@ impl Ctx<'_> {
 
     /// Cancels a pending timer (firing becomes a no-op).
     pub fn cancel_timer(&mut self, id: u64) {
-        self.shard.nodes[self.local].cancelled_timers.insert(id);
+        let st = &mut self.shard.nodes[self.local];
+        if st.pending_timers > 0 && !st.cancelled_timers.contains(&id) {
+            st.cancelled_timers.push(id);
+        }
+    }
+
+    /// The number of this node's timers that are set and have not
+    /// fired yet, cancelled ones included (a cancelled timer still
+    /// occupies the queue until its instant).
+    pub fn pending_timers(&self) -> u32 {
+        self.shard.nodes[self.local].pending_timers
+    }
+
+    /// The instant up to which the network is provably packet-free:
+    /// the earliest pending application sample (capped at the
+    /// horizon) while no node [holds packets](MacNode::holds_packets)
+    /// and no packet-carrying frame is on the air, and `now` otherwise.
+    ///
+    /// Packets enter only at a sample, so until this instant no data
+    /// exchange can start anywhere, and a protocol whose every frame
+    /// carries or answers a packet (X-MAC, DMAC) puts nothing on the
+    /// air. A wake of such a protocol whose whole window closes
+    /// *strictly before* this instant may be replayed through
+    /// [`replay_idle_wake`](Ctx::replay_idle_wake) instead of
+    /// simulated.
+    ///
+    /// Always `now` under [`WakeMode::Dense`], on more than one shard
+    /// and with more than one network: the engine keeps no quiet
+    /// bookkeeping there.
+    pub fn quiet_until(&self) -> SimTime {
+        let now = self.shard.now;
+        match &self.shard.quiet {
+            Some(quiet) if quiet.holders == 0 && quiet.packet_air == 0 => {
+                let end = self.shared.end;
+                let next = quiet.generates.peek().map_or(end, |t| t.0.min(end));
+                next.max(now)
+            }
+            _ => now,
+        }
     }
 
     /// Uniform random sample in `[lo, hi)` from this node's seeded
@@ -710,15 +847,18 @@ impl Ctx<'_> {
             dst,
             packet,
         };
-        let duration = self.airtime(kind);
         let st = &mut self.shard.nodes[self.local];
         let tx_seq = ((self.node.index() as u64) << 32) | st.next_tx;
         st.next_tx += 1;
         st.counters.record_tx(kind);
         st.set_mode(now, Mode::Tx, kind.tx_cause());
+        st.tx_carries_packet = packet.is_some();
+        if let (true, Some(quiet)) = (packet.is_some(), &mut self.shard.quiet) {
+            quiet.packet_air += 1;
+        }
 
         let start = now;
-        let end = start.after(duration);
+        let end = self.shared.frame_end(start, kind);
         let shared = self.shared;
         // The frame is recorded once per shard that hears it. Every
         // receiver still mints a pair of keys and each record is queued
@@ -787,81 +927,97 @@ impl Ctx<'_> {
             .schedule_event(shared, k, Event::TxDone { node: self.node });
     }
 
-    /// Replays, straight into the energy ledger, one idle wake-up that
-    /// the event-coarse scheduler elided: sleep up to `wake_at`, a
-    /// radio startup charged to `cause`, then `listen` seconds of
-    /// silent listening, after which the node went back to sleep.
+    /// The instant up to which `node` provably holds no packet: its next
+    /// application sample (capped at the horizon) while it
+    /// [holds none](MacNode::holds_packets), and `now` otherwise. The
+    /// per-node form of [`quiet_until`](Ctx::quiet_until), and like it
+    /// always `now` without quiet bookkeeping.
+    pub fn packet_free_until(&self, node: NodeId) -> SimTime {
+        let now = self.shard.now;
+        if self.shard.quiet.is_none() {
+            return now;
+        }
+        let st = &self.shard.nodes[self.shared.local(node)];
+        if st.holds {
+            now
+        } else {
+            st.next_sample.min(self.shared.end).max(now)
+        }
+    }
+
+    /// Whether `node`'s radio is asleep right now. Answered from the
+    /// same whole-network view as [`quiet_until`](Ctx::quiet_until):
+    /// always `false` without quiet bookkeeping.
+    pub fn is_asleep(&self, node: NodeId) -> bool {
+        self.shard.quiet.is_some()
+            && self.shard.nodes[self.shared.local(node)].radio.mode == Mode::Sleep
+    }
+
+    /// Replays, straight into the energy ledger, one wake-up that the
+    /// event-coarse scheduler elided: sleep up to `wake_at`, a radio
+    /// startup charged to `cause`, then what the radio did once it was
+    /// up (`then`), after which the node went back to sleep.
     ///
     /// The charge sequence (piece boundaries, rounding, order) is
-    /// exactly what the dense scheduler produces for a wake that hears
-    /// nothing, so coarse and dense runs stay bit-identical; pieces
-    /// crossing the horizon are clamped the way the dense end-of-run
-    /// flush clamps them. A replay is only valid for a slot in which no
-    /// in-range transmission can occur — the caller's schedule
-    /// knowledge, not the engine's.
+    /// exactly what the dense scheduler produces for such a wake, so
+    /// coarse and dense runs stay bit-identical; pieces crossing the
+    /// horizon are clamped the way the dense end-of-run flush clamps
+    /// them, and a frame is counted iff the dense run's event for it
+    /// (the send at radio-up, the reception at its last bit) lands
+    /// inside the horizon. A replay is only valid where the caller's
+    /// schedule knowledge proves the wake's outcome — a silent slot, a
+    /// heartbeat from the single in-range owner, a poll or cycle
+    /// before [`quiet_until`](Ctx::quiet_until) — and only if no
+    /// handler of this node touches the radio inside the replayed
+    /// window.
     ///
     /// No-op if the node was not asleep across `wake_at` (the dense
     /// scheduler skips busy boundaries without charging them).
-    pub fn replay_idle_wake(&mut self, wake_at: SimTime, cause: Cause, listen: Seconds) {
-        let st = &mut self.shard.nodes[self.local];
-        let state = st.radio;
+    pub fn replay_idle_wake(&mut self, wake_at: SimTime, cause: Cause, then: IdleWake<'_>) {
+        let state = self.shard.nodes[self.local].radio;
         if state.mode != Mode::Sleep || wake_at < state.since {
             return;
         }
-        let end = self.shared.end;
-        let startup = self.shared.radio_hw.timings.startup;
-        let woke = wake_at.min(end);
-        let listening = wake_at.after(startup).min(end);
-        let slept = wake_at.after(startup).after(listen).min(end);
-        st.ledger
-            .charge(Mode::Sleep, Cause::Sleep, woke.since(state.since));
-        st.ledger
-            .charge(Mode::Startup, cause, listening.since(woke));
-        st.ledger
-            .charge(Mode::Listen, cause, slept.since(listening));
-        st.radio.since = slept;
-    }
-
-    /// Replays a wake in which this node deterministically received one
-    /// control section from the single in-range owner of the slot,
-    /// then went back to sleep: sleep up to `wake_at`, startup, and one
-    /// control airtime of reception, all charged to the sync buckets;
-    /// the reception is counted iff its last bit lands inside the
-    /// horizon, exactly as the dense scheduler's `AirEnd` would.
-    ///
-    /// Only valid where the schedule proves the exchange: exactly one
-    /// in-range owner (distance-2 slot reuse), an unconditional control
-    /// transmission, and an addressee other than this node. LMAC's
-    /// non-child neighbor slots satisfy all three.
-    pub fn replay_heard_control(&mut self, wake_at: SimTime) {
-        let t_ctl = self
-            .shared
-            .radio_hw
-            .airtime(FrameKind::Control.size(&self.shared.frames));
+        let shared = self.shared;
+        let end = shared.end;
+        let ready = SimTime::from_nanos(wake_at.as_nanos() + shared.startup_ns);
         let st = &mut self.shard.nodes[self.local];
-        let state = st.radio;
-        if state.mode != Mode::Sleep || wake_at < state.since {
-            return;
-        }
-        let end = self.shared.end;
-        let startup = self.shared.radio_hw.timings.startup;
-        // The owner's control starts the instant this node's radio is
-        // up (all nodes share the per-slot wake lead), so no listen
-        // time elapses before the lock.
         let woke = wake_at.min(end);
-        let locked = wake_at.after(startup).min(end);
-        let heard = wake_at.after(startup).after(t_ctl);
-        let slept = heard.min(end);
         st.ledger
             .charge(Mode::Sleep, Cause::Sleep, woke.since(state.since));
         st.ledger
-            .charge(Mode::Startup, Cause::SyncRx, locked.since(woke));
-        st.ledger
-            .charge(Mode::Rx, Cause::SyncRx, slept.since(locked));
-        if heard <= end {
-            st.counters.record_rx(FrameKind::Control);
+            .charge(Mode::Startup, cause, ready.min(end).since(woke));
+        let mut from = ready.min(end);
+        let mut piece = |st: &mut NodeState, mode: Mode, cause: Cause, to: SimTime| {
+            let to = to.min(end);
+            st.ledger.charge(mode, cause, to.since(from));
+            from = to;
+        };
+        match then {
+            IdleWake::Listen(ends) => {
+                for &to in ends {
+                    piece(st, Mode::Listen, cause, to);
+                }
+            }
+            IdleWake::Receive(kind) => {
+                // The frame starts the instant this node's radio is up
+                // (sender and receiver share the wake lead), so no
+                // listen time elapses before the lock.
+                let heard = shared.frame_end(ready, kind);
+                piece(st, Mode::Rx, kind.rx_cause(false), heard);
+                if heard <= end {
+                    st.counters.record_rx(kind);
+                }
+            }
+            IdleWake::Transmit(kind) => {
+                let sent = shared.frame_end(ready, kind);
+                piece(st, Mode::Tx, kind.tx_cause(), sent);
+                if ready <= end {
+                    st.counters.record_tx(kind);
+                }
+            }
         }
-        st.radio.since = slept;
+        st.radio.since = from;
     }
 
     /// Records the final delivery of `packet` at the sink.
@@ -875,9 +1031,10 @@ impl Ctx<'_> {
 }
 
 /// Runs a node callback with the engine's lending pattern, then
-/// re-queries and re-registers the node's wake. `round` is the causal
-/// round the handler's same-instant scheduling inherits (the
-/// triggering entry's round plus one).
+/// records whether the node holds packets (quiet bookkeeping) and
+/// re-queries and re-registers its wake. `round` is the causal round
+/// the handler's same-instant scheduling inherits (the triggering
+/// entry's round plus one).
 pub(crate) fn with_node<F>(shared: &Shared, shard: &mut ShardState, node: NodeId, round: u32, f: F)
 where
     F: FnOnce(&mut Box<dyn MacNode>, &mut Ctx<'_>),
@@ -894,6 +1051,9 @@ where
             round,
         };
         f(&mut taken, &mut ctx);
+        if ctx.shard.quiet.is_some() {
+            ctx.shard.note_holds(local, taken.holds_packets());
+        }
         taken.next_activity(&mut ctx)
     };
     shard.machines[local] = taken;
@@ -1034,6 +1194,10 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event
         Event::Generate { node } => {
             let local = shared.local(node);
             let now = shard.now;
+            if let Some(quiet) = &mut shard.quiet {
+                let popped = quiet.generates.pop();
+                debug_assert_eq!(popped, Some(Reverse(now)), "generates fire in time order");
+            }
             let st = &mut shard.nodes[local];
             let id = PacketId(((node.index() as u64) << 32) | st.next_packet);
             st.next_packet += 1;
@@ -1060,15 +1224,25 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event
             let jitter = st.rng.gen_range(0.5..1.5);
             let next = now.after(shared.sample_period(now, node) * jitter);
             let r = if next == now { round } else { 0 };
-            let key = shard.key_for(local, node, next, r);
-            shard.schedule_event(shared, key, Event::Generate { node });
+            shard.schedule_generate(shared, local, node, next, r);
             with_node(shared, shard, node, round, |n, ctx| {
                 n.on_generate(ctx, packet)
             });
         }
         Event::Timer { node, id, tag } => {
-            let local = shared.local(node);
-            if shard.nodes[local].cancelled_timers.remove(&id) {
+            let st = &mut shard.nodes[shared.local(node)];
+            st.pending_timers -= 1;
+            let cancelled = match st.cancelled_timers.iter().position(|&c| c == id) {
+                Some(i) => {
+                    st.cancelled_timers.swap_remove(i);
+                    true
+                }
+                None => false,
+            };
+            if st.pending_timers == 0 {
+                st.cancelled_timers.clear();
+            }
+            if cancelled {
                 return;
             }
             with_node(shared, shard, node, round, |n, ctx| {
@@ -1125,6 +1299,11 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event
             let st = &mut shard.nodes[local];
             debug_assert_eq!(st.radio.mode, Mode::Tx);
             st.set_mode(now, Mode::Listen, Cause::CarrierSense);
+            if std::mem::take(&mut st.tx_carries_packet) {
+                if let Some(quiet) = &mut shard.quiet {
+                    quiet.packet_air -= 1;
+                }
+            }
             with_node(shared, shard, node, round, |n, ctx| n.on_tx_done(ctx));
         }
     }
@@ -1197,8 +1376,7 @@ pub(crate) fn seed_and_start(shared: &Shared, shard: &mut ShardState) {
         let period = shared.sample_period(SimTime::ZERO, node);
         let phase = shard.nodes[i].rng.gen_range(0.0..period.value());
         let at = SimTime::from_seconds(Seconds::new(phase));
-        let key = shard.key_for(i, node, at, 0);
-        shard.schedule_event(shared, key, Event::Generate { node });
+        shard.schedule_generate(shared, i, node, at, 0);
     }
     for i in 0..shard.members.len() {
         let node = shard.members[i];
@@ -1358,16 +1536,17 @@ impl Simulation {
             },
             None => ChannelKind::Binary,
         };
-        let min_airtime_ns = FrameKind::ALL
-            .iter()
-            .map(|k| SimTime::from_seconds(radio.airtime(k.size(&frames))).as_nanos())
-            .min()
-            .unwrap_or(1)
-            .max(1);
+        let mut airtime_ns = [0; FrameKind::ALL.len()];
+        for kind in FrameKind::ALL {
+            airtime_ns[kind.index()] =
+                SimTime::from_seconds(radio.airtime(kind.size(&frames))).as_nanos();
+        }
+        let min_airtime_ns = airtime_ns.iter().copied().min().unwrap_or(1).max(1);
         let shared = Shared {
             end: SimTime::from_seconds(config.duration),
             startup_ns: SimTime::from_seconds(radio.timings.startup).as_nanos(),
             min_airtime_ns,
+            airtime_ns,
             radio_hw: radio,
             frames,
             neighbors,
@@ -1593,6 +1772,11 @@ fn build_shards(
     machines: Vec<Box<dyn MacNode>>,
 ) -> Vec<ShardState> {
     let k = plan.shard_count();
+    // Quiet replay leans on whole-network knowledge (every holder,
+    // every pending sample), which one shard has and several do not;
+    // a second network's traffic is unknown to this one's schedule.
+    let track_quiet =
+        k == 1 && shared.sinks.len() == 1 && shared.config.scheduling == WakeMode::Coarse;
     let mut slots: Vec<Option<Box<dyn MacNode>>> = machines.into_iter().map(Some).collect();
     let mut shards = Vec::with_capacity(k);
     for s in 0..k {
@@ -1614,6 +1798,7 @@ fn build_shards(
             })
             .collect();
         let pending = members.iter().map(|_| BinaryHeap::new()).collect();
+        let nodes_len = nodes.len();
         shards.push(ShardState {
             id: s as u32,
             now: SimTime::ZERO,
@@ -1628,6 +1813,11 @@ fn build_shards(
             boundary,
             adj: plan.adjacency(s),
             deliveries: HashMap::new(),
+            quiet: track_quiet.then(|| QuietLedger {
+                holders: nodes_len,
+                packet_air: 0,
+                generates: BinaryHeap::new(),
+            }),
         });
     }
     shards
@@ -1693,6 +1883,7 @@ fn collect_results(
 mod tests {
     use super::*;
     use crate::protocol::{LmacSim, XmacSim};
+    use crate::PacketId;
 
     fn tiny_config() -> SimConfig {
         SimConfig {
@@ -1844,6 +2035,214 @@ mod tests {
                 stats.node,
                 cfg.duration.value()
             );
+        }
+    }
+
+    /// One observation of [`Ctx::quiet_until`]: where, when, what.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Seen {
+        what: &'static str,
+        now: SimTime,
+        quiet: SimTime,
+    }
+
+    type Log = std::sync::Arc<std::sync::Mutex<(Vec<Seen>, Vec<SimTime>)>>;
+
+    /// Probes `quiet_until` on a 0.37 s clock and logs every sample it
+    /// drops; node `talker` (if any) sends one packet at 5 s.
+    #[derive(Debug)]
+    struct Probe {
+        holds: bool,
+        talker: bool,
+        log: Log,
+    }
+
+    impl Probe {
+        fn see(&self, ctx: &Ctx<'_>, what: &'static str) {
+            let seen = Seen {
+                what,
+                now: ctx.now(),
+                quiet: ctx.quiet_until(),
+            };
+            self.log.lock().expect("test log").0.push(seen);
+        }
+    }
+
+    impl MacNode for Probe {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(Seconds::from_millis(370.0), 1);
+            if self.talker {
+                ctx.set_timer(Seconds::new(5.0), 2);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, _: u64) {
+            if tag == 1 {
+                self.see(ctx, "clock");
+                ctx.set_timer(Seconds::from_millis(370.0), 1);
+            } else {
+                ctx.wake(Cause::DataTx);
+            }
+        }
+        fn on_radio_ready(&mut self, ctx: &mut Ctx<'_>) {
+            let packet = Packet {
+                id: PacketId(u64::MAX),
+                origin: ctx.me(),
+                created: ctx.now(),
+                hops: 0,
+            };
+            ctx.send(FrameKind::Data, None, Some(packet));
+            self.see(ctx, "sending");
+        }
+        fn on_tx_done(&mut self, ctx: &mut Ctx<'_>) {
+            self.see(ctx, "sent");
+            ctx.sleep();
+        }
+        fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
+        fn on_generate(&mut self, ctx: &mut Ctx<'_>, _: Packet) {
+            self.log.lock().expect("test log").1.push(ctx.now());
+        }
+        fn holds_packets(&self) -> bool {
+            self.holds
+        }
+    }
+
+    #[derive(Debug)]
+    struct ProbeSim {
+        /// Node index (within each network) that claims to hold packets.
+        holder: Option<usize>,
+        talker: Option<usize>,
+        log: Log,
+    }
+
+    impl SimProtocol for ProbeSim {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn build_nodes(
+            &self,
+            graph: &Graph,
+            _: &RoutingTree,
+            _: &SimConfig,
+        ) -> Result<Vec<Box<dyn MacNode>>, NetError> {
+            Ok(graph
+                .nodes()
+                .map(|u| {
+                    Box::new(Probe {
+                        holds: self.holder == Some(u.index()),
+                        talker: self.talker == Some(u.index()),
+                        log: self.log.clone(),
+                    }) as Box<dyn MacNode>
+                })
+                .collect())
+        }
+    }
+
+    /// Runs probes on a 2×4 ring (`networks` copies side by side) and
+    /// returns what they saw plus every sample instant.
+    fn probe_run(
+        holder: Option<usize>,
+        talker: Option<usize>,
+        scheduling: WakeMode,
+        shards: usize,
+        networks: usize,
+    ) -> (Vec<Seen>, Vec<SimTime>) {
+        let log = Log::default();
+        let protocol = ProbeSim {
+            holder,
+            talker,
+            log: log.clone(),
+        };
+        let cfg = SimConfig {
+            duration: Seconds::new(20.0),
+            sample_period: Seconds::new(6.0),
+            scheduling,
+            ..tiny_config()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let ring = Topology::ring_model(2, 4, &mut rng).expect("buildable ring");
+        let rings: Vec<Topology> = (0..networks)
+            .map(|k| ring.translated(100.0 * k as f64, 0.0))
+            .collect();
+        let nets: Vec<CoexNetwork<'_>> = rings
+            .iter()
+            .map(|topology| CoexNetwork {
+                topology,
+                protocol: &protocol,
+            })
+            .collect();
+        let sim = Simulation::new(
+            &nets,
+            &UnitDisk,
+            Radio::cc2420(),
+            FrameSizes::default(),
+            cfg,
+        )
+        .expect("buildable probe run")
+        .with_shards(shards);
+        drop(sim.run());
+        let (seen, mut generates) = log.lock().expect("test log").clone();
+        generates.sort();
+        (seen, generates)
+    }
+
+    #[test]
+    fn quiet_until_is_the_next_sample_in_a_packet_free_network() {
+        let end = SimTime::from_seconds(Seconds::new(20.0));
+        let (seen, generates) = probe_run(None, None, WakeMode::Coarse, 1, 1);
+        assert!(generates.len() > 20, "samples fired: {}", generates.len());
+        let mut ahead = 0;
+        for s in &seen {
+            if generates.contains(&s.now) {
+                continue; // a sample at this very instant may or may not be pending
+            }
+            let next = generates
+                .iter()
+                .find(|&&g| g > s.now)
+                .map_or(end, |&g| g.min(end));
+            assert_eq!(s.quiet, next, "{s:?}");
+            ahead += usize::from(s.quiet > s.now);
+        }
+        assert!(
+            ahead > seen.len() / 2,
+            "{ahead} of {} probes saw a quiet stretch",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn quiet_until_is_now_while_a_packet_is_held_or_on_the_air() {
+        let (seen, _) = probe_run(Some(3), None, WakeMode::Coarse, 1, 1);
+        assert!(!seen.is_empty());
+        assert!(
+            seen.iter().all(|s| s.quiet == s.now),
+            "a holder keeps it noisy"
+        );
+
+        let (seen, generates) = probe_run(None, Some(2), WakeMode::Coarse, 1, 1);
+        let sending = seen
+            .iter()
+            .find(|s| s.what == "sending")
+            .expect("talker sent");
+        assert_eq!(sending.quiet, sending.now, "a data frame is on the air");
+        let sent = seen.iter().find(|s| s.what == "sent").expect("frame ended");
+        let next = generates.iter().find(|&&g| g > sent.now).copied();
+        assert_eq!(
+            Some(sent.quiet),
+            next,
+            "quiet again once the frame is off the air"
+        );
+    }
+
+    #[test]
+    fn quiet_until_is_now_without_whole_network_knowledge() {
+        for (label, scheduling, shards, networks) in [
+            ("dense", WakeMode::Dense, 1, 1),
+            ("two shards", WakeMode::Coarse, 2, 1),
+            ("two networks", WakeMode::Coarse, 1, 2),
+        ] {
+            let (seen, _) = probe_run(None, None, scheduling, shards, networks);
+            assert!(!seen.is_empty(), "{label}");
+            assert!(seen.iter().all(|s| s.quiet == s.now), "{label}");
         }
     }
 

@@ -67,7 +67,8 @@ mod shard;
 mod time;
 
 pub use engine::{
-    BurstWindows, CoexNetwork, Ctx, MacNode, SimConfig, Simulation, TrafficProfile, WakeMode,
+    BurstWindows, CoexNetwork, Ctx, IdleWake, MacNode, SimConfig, Simulation, TrafficProfile,
+    WakeMode,
 };
 pub use frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 pub use protocol::{DmacSim, LmacSim, ScpSim, SimProtocol, XmacSim};

@@ -139,7 +139,7 @@ impl SimProtocol for DmacSim {
         &self,
         graph: &Graph,
         tree: &RoutingTree,
-        _config: &SimConfig,
+        config: &SimConfig,
     ) -> Result<Vec<Box<dyn MacNode>>, NetError> {
         Ok(graph
             .nodes()
@@ -150,6 +150,7 @@ impl SimProtocol for DmacSim {
                     self.slot,
                     self.contention_window,
                     has_children,
+                    config.scheduling,
                 )) as Box<dyn MacNode>
             })
             .collect())
@@ -235,14 +236,14 @@ impl SimProtocol for LmacSim {
                 // only be the owner's parent — so it replays as
                 // a heard control. Slots with no in-range owner
                 // replay as provable silence.
-                let mut child_slots = vec![false; frame_slots];
+                let mut child_owners = vec![None; frame_slots];
                 for &v in tree.children(u) {
-                    child_slots[coloring.color(v)] = true;
+                    child_owners[coloring.color(v)] = Some(v);
                 }
                 let mut heard_slots = vec![false; frame_slots];
                 for &v in graph.neighbors(u) {
                     let c = coloring.color(v);
-                    if !child_slots[c] {
+                    if child_owners[c].is_none() {
                         heard_slots[c] = true;
                     }
                 }
@@ -250,7 +251,7 @@ impl SimProtocol for LmacSim {
                     self.slot,
                     frame_slots,
                     coloring.color(u),
-                    child_slots,
+                    child_owners,
                     heard_slots,
                     config.scheduling,
                 )) as Box<dyn MacNode>

@@ -14,16 +14,24 @@
 //!
 //! # Event-coarse scheduling
 //!
-//! The ladder is already event-coarse by construction: a node touches
-//! at most two slots per cycle (its children's and its own), so its
-//! wake schedule is one instant per cycle — reported through
+//! The ladder is event-coarse by construction: a node touches at most
+//! two slots per cycle (its children's and its own), so its wake
+//! schedule is one instant per cycle — reported through
 //! [`MacNode::next_activity`] — regardless of the cycle's slot count.
-//! There is nothing further to skip without changing behavior: an
-//! interior node must open its receive slot whether or not children
-//! transmit, and a leaf's empty-queue wake still lingers (and can
-//! overhear siblings), which is protocol cost, not scheduler cost.
+//!
+//! Under [`WakeMode::Coarse`] the idle cycles of a quiet network cost
+//! no wake either. Every DMAC frame is data or the ack answering it, so
+//! while no node holds a packet the air stays empty until the next
+//! sample ([`Ctx::quiet_until`]), and a cycle's outcome is fixed by the
+//! node's role: an interior node listens through its children's slot
+//! and lingers one slot after its own (two listen pieces, split where
+//! the transmit slot re-labels the listen), the sink listens until two
+//! slots after its wake, and a leaf lingers one slot. A sleeping node
+//! with nothing queued and no timer pending jumps over every cycle that
+//! ends before that instant and replays them into its ledger lazily —
+//! at its next wake or sample, or at the horizon.
 
-use crate::engine::{Ctx, MacNode};
+use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -64,6 +72,7 @@ pub(crate) struct DmacNode {
     slot: Seconds,
     contention_window: Seconds,
     has_children: bool,
+    coarse: bool,
     phase: Phase,
     queue: VecDeque<Packet>,
     in_flight: Option<Packet>,
@@ -75,6 +84,10 @@ pub(crate) struct DmacNode {
     ack_timer: u64,
     /// Index of the cycle whose slots have been scheduled.
     next_cycle: u64,
+    /// First cycle not yet woken for or replayed: cycles
+    /// `replay_from..next_cycle` are quiet cycles still owed to the
+    /// ledger.
+    replay_from: u64,
 }
 
 impl DmacNode {
@@ -83,12 +96,14 @@ impl DmacNode {
         slot: Seconds,
         contention_window: Seconds,
         has_children: bool,
+        scheduling: WakeMode,
     ) -> DmacNode {
         DmacNode {
             cycle,
             slot,
             contention_window,
             has_children,
+            coarse: scheduling == WakeMode::Coarse,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             in_flight: None,
@@ -96,6 +111,55 @@ impl DmacNode {
             skip_cycles: 0,
             ack_timer: u64::MAX,
             next_cycle: 0,
+            replay_from: 0,
+        }
+    }
+
+    /// Whether a packet is waiting, either queued or mid-retry.
+    fn has_pending(&self) -> bool {
+        self.in_flight.is_some() || !self.queue.is_empty()
+    }
+
+    /// The ends of the two listen pieces of an idle cycle woken at
+    /// `wake`, exactly as the handlers time them: an interior node
+    /// re-labels its listen when its transmit slot opens and sleeps one
+    /// lingering slot later; the sink sleeps two slots after its wake
+    /// (an empty second piece); a leaf re-labels the instant its radio
+    /// is up (an empty first piece) and lingers one slot.
+    fn idle_listen(&self, ctx: &Ctx<'_>, wake: SimTime) -> [SimTime; 2] {
+        if self.rx_offset(ctx).is_some() {
+            if self.tx_offset(ctx).is_some() {
+                let tx = wake.after(self.slot + ctx.startup_delay());
+                [tx, tx.after(self.slot)]
+            } else {
+                let sleep = wake.after(self.slot * 2.0);
+                [sleep, sleep]
+            }
+        } else {
+            let ready = wake.after(ctx.startup_delay());
+            [ready, ready.after(self.slot)]
+        }
+    }
+
+    /// Whether nothing of this node's own can wake its radio: asleep,
+    /// nothing queued, no timer pending. Its cycles up to
+    /// [`Ctx::quiet_until`] are then idle.
+    fn idle(&self, ctx: &Ctx<'_>) -> bool {
+        self.coarse
+            && self.phase == Phase::Sleeping
+            && !self.has_pending()
+            && ctx.pending_timers() == 0
+    }
+
+    /// Charges the skipped quiet cycles whose wake is due by now.
+    fn replay_cycles(&mut self, ctx: &mut Ctx<'_>) {
+        while self.replay_from < self.next_cycle {
+            let Some(wake) = self.lead(ctx, self.replay_from).filter(|&w| w <= ctx.now()) else {
+                break;
+            };
+            let listen = self.idle_listen(ctx, wake);
+            ctx.replay_idle_wake(wake, Cause::CarrierSense, IdleWake::Listen(&listen));
+            self.replay_from += 1;
         }
     }
 
@@ -145,14 +209,39 @@ impl DmacNode {
 impl MacNode for DmacNode {
     fn start(&mut self, _ctx: &mut Ctx<'_>) {
         self.next_cycle = 0;
+        self.replay_from = 0;
+    }
+
+    fn holds_packets(&self) -> bool {
+        self.has_pending()
     }
 
     fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
+        if self.idle(ctx) {
+            let quiet = ctx.quiet_until();
+            while let Some(wake) = self.lead(ctx, self.next_cycle) {
+                if wake <= ctx.now() || self.idle_listen(ctx, wake)[1] >= quiet {
+                    break;
+                }
+                self.next_cycle += 1;
+            }
+        }
         self.lead(ctx, self.next_cycle)
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+        self.replay_cycles(ctx);
         self.next_cycle += 1;
+        self.replay_from = self.next_cycle;
+        if self.idle(ctx) {
+            let listen = self.idle_listen(ctx, ctx.now());
+            if listen[1] < ctx.quiet_until() {
+                // The first cycle of a quiet stretch: the node was last
+                // asked for its schedule before the network fell quiet.
+                ctx.replay_idle_wake(ctx.now(), Cause::CarrierSense, IdleWake::Listen(&listen));
+                return;
+            }
+        }
         if self.rx_offset(ctx).is_some() {
             // Wake for the children's slot; the own tx slot follows
             // immediately after, so stay up through both.
@@ -284,7 +373,12 @@ impl MacNode for DmacNode {
         }
     }
 
-    fn on_generate(&mut self, _ctx: &mut Ctx<'_>, packet: Packet) {
+    fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
+        self.replay_cycles(ctx);
+    }
+
+    fn on_generate(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
+        self.replay_cycles(ctx);
         // Data waits for the next ladder sweep.
         self.queue.push_back(packet);
     }

@@ -24,19 +24,36 @@
 //!   in-range owner exists (distance-2 reuse), it always transmits its
 //!   control, and the addressee can only be its parent — so the whole
 //!   wake (startup, one control reception, sleep) is deterministic and
-//!   replays through [`Ctx::replay_heard_control`];
+//!   replays through [`Ctx::replay_idle_wake`] as a received control;
 //! * **silent slots** — no in-range owner: a startup, 300 µs of
-//!   provable silence and sleep, replayed through
-//!   [`Ctx::replay_idle_wake`].
+//!   provable silence and sleep, replayed as a silent listen.
 //!
 //! Under [`WakeMode::Coarse`] the node schedules wakes only for the
 //! first class and replays the rest; under [`WakeMode::Dense`] it
 //! wakes at every boundary like the original engine. Both produce
 //! bit-identical reports (the `wake_equivalence` golden tests).
+//!
+//! The first class is data-dependent only while the slot's owner has
+//! data. When the owner holds no packet and samples none before its
+//! control ends ([`Ctx::packet_free_until`], the per-node form of
+//! [`Ctx::quiet_until`]), and both the owner and its parent are asleep
+//! at the slot's wake, the owner's control is a bare heartbeat and the
+//! parent hears exactly that: the owner replays its wake as a
+//! transmitted control and the parent as a received one. Both decide
+//! at the slot's wake instant from the same predicate about the same
+//! pair, so they never disagree — a condition only one side can see
+//! (the owner's pending timers, say) could let the owner skip a
+//! control its parent then waits for. Slots short of a control plus a
+//! data frame plus a millisecond never replay this way, so no frame of
+//! another slot can overlap the heartbeat. These slots still cost a
+//! wake each, but no radio startup event, timer or air event. Slot 0,
+//! the one slot every node wakes for, replays as heard or silent for
+//! every node it is neither the own nor a child slot of.
 
-use crate::engine::{Ctx, MacNode, WakeMode};
+use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
+use edmac_net::NodeId;
 use edmac_radio::Cause;
 use edmac_units::Seconds;
 use std::collections::VecDeque;
@@ -72,9 +89,12 @@ pub(crate) struct LmacNode {
     slot: Seconds,
     frame_slots: usize,
     my_slot: usize,
-    /// Slot indices owned by tree children (data may be addressed to
-    /// this node there): simulated wakes.
-    child_slots: Vec<bool>,
+    /// Per slot index, the tree child owning it (data may be addressed
+    /// to this node there): simulated wakes. Ids are the network's own;
+    /// they name engine nodes only in a single-network run, the only
+    /// kind in which [`Ctx::is_asleep`] and [`Ctx::packet_free_until`]
+    /// look at them.
+    child_owners: Vec<Option<NodeId>>,
     /// Slot indices owned by non-child in-range neighbors: replayed as
     /// deterministic heard controls.
     heard_slots: Vec<bool>,
@@ -87,6 +107,13 @@ pub(crate) struct LmacNode {
     current_slot: u64,
     /// First global slot index not yet simulated or replayed.
     replay_from: u64,
+    /// Whether a slot outlasts a control plus a data frame with a
+    /// millisecond to spare, so no frame of one slot reaches into the
+    /// next and a bare heartbeat is heard cleanly.
+    heartbeats_fit: bool,
+    /// Per slot index: how many slots on the next own or child slot
+    /// index lies (0 for those themselves).
+    to_relevant: Vec<u32>,
     control_timer: u64,
     data_timer: u64,
 }
@@ -96,50 +123,105 @@ impl LmacNode {
         slot: Seconds,
         frame_slots: usize,
         my_slot: usize,
-        child_slots: Vec<bool>,
+        child_owners: Vec<Option<NodeId>>,
         heard_slots: Vec<bool>,
         scheduling: WakeMode,
     ) -> LmacNode {
         assert!(my_slot < frame_slots, "slot assignment exceeds frame");
-        assert_eq!(child_slots.len(), frame_slots, "mask must cover the frame");
+        assert_eq!(child_owners.len(), frame_slots, "mask must cover the frame");
         assert_eq!(heard_slots.len(), frame_slots, "mask must cover the frame");
+        let relevant = |i: usize| i == my_slot || child_owners[i].is_some();
+        let to_relevant = (0..frame_slots)
+            .map(|i| {
+                (0..frame_slots)
+                    .position(|d| relevant((i + d) % frame_slots))
+                    .expect("the own slot is relevant") as u32
+            })
+            .collect();
         LmacNode {
             slot,
             frame_slots,
             my_slot,
-            child_slots,
+            child_owners,
             heard_slots,
+            heartbeats_fit: false,
             coarse: scheduling == WakeMode::Coarse,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             next_slot: 0,
             current_slot: 0,
             replay_from: 0,
+            to_relevant,
             control_timer: u64::MAX,
             data_timer: u64::MAX,
         }
     }
 
+    /// The index within the frame of global slot `k`.
+    fn index(&self, k: u64) -> usize {
+        (k % self.frame_slots as u64) as usize
+    }
+
     /// Whether global slot index `k` belongs to this node.
     fn owns(&self, k: u64) -> bool {
-        (k % self.frame_slots as u64) as usize == self.my_slot
+        self.index(k) == self.my_slot
     }
 
-    /// Whether slot `k` has a data-dependent outcome for this node
-    /// (own transmission, or possible reception from a child).
-    fn relevant(&self, k: u64) -> bool {
-        self.owns(k) || self.child_slots[(k % self.frame_slots as u64) as usize]
-    }
-
-    /// Replays one elided slot: a deterministic heard control if an
-    /// in-range non-child owns it, provable silence otherwise.
-    fn replay_slot(&self, ctx: &mut Ctx<'_>, k: u64) {
-        let at = self.lead(ctx, k);
-        if self.heard_slots[(k % self.frame_slots as u64) as usize] {
-            ctx.replay_heard_control(at);
+    /// Replays one elided slot of frame index `i`, woken at `at`: a
+    /// deterministic heard control if an in-range non-child owns it,
+    /// provable silence otherwise.
+    fn replay_slot(&self, ctx: &mut Ctx<'_>, at: SimTime, i: usize) {
+        let silent = [at.after(ctx.startup_delay()).after(control_timeout())];
+        let heard = if self.heard_slots[i] {
+            IdleWake::Receive(FrameKind::Control)
         } else {
-            ctx.replay_idle_wake(at, Cause::SyncRx, control_timeout());
+            IdleWake::Listen(&silent)
+        };
+        ctx.replay_idle_wake(at, Cause::SyncRx, heard);
+    }
+
+    /// Replays the elided slots from `replay_from` up to `to` whose wake
+    /// instant is due by now (the dense scheduler woke for exactly
+    /// those).
+    fn replay_elided(&mut self, ctx: &mut Ctx<'_>, to: u64) {
+        let mut i = self.index(self.replay_from);
+        while self.replay_from < to {
+            let at = self.lead(ctx, self.replay_from);
+            if at > ctx.now() {
+                break;
+            }
+            self.replay_slot(ctx, at, i);
+            self.replay_from += 1;
+            i = if i + 1 == self.frame_slots { 0 } else { i + 1 };
         }
+    }
+
+    /// The owner of slot `k` and its parent, if this node is one of the
+    /// two: `(me, my parent)` in the own slot, `(child, me)` in a
+    /// child's. These are the only nodes that simulate the slot.
+    fn heartbeat_pair(&self, ctx: &Ctx<'_>, k: u64) -> Option<(NodeId, Option<NodeId>)> {
+        let i = self.index(k);
+        if i == self.my_slot {
+            Some((ctx.me(), ctx.parent()))
+        } else {
+            self.child_owners[i].map(|child| (child, Some(ctx.me())))
+        }
+    }
+
+    /// Whether slot `k` is provably a bare heartbeat from `owner` that
+    /// `parent` hears cleanly: both radios asleep at the slot's wake,
+    /// and the owner packet-free until past its control's end. Owner
+    /// and parent evaluate this same predicate at the same instant, so
+    /// they always agree on whether the slot is replayed.
+    fn bare_heartbeat(&self, ctx: &Ctx<'_>, k: u64, owner: NodeId, parent: Option<NodeId>) -> bool {
+        let control_end = self
+            .lead(ctx, k)
+            .after(ctx.startup_delay())
+            .after(ctx.airtime(FrameKind::Control));
+        self.heartbeats_fit
+            && ctx.is_asleep(owner)
+            && parent.is_none_or(|p| ctx.is_asleep(p))
+            && control_end < ctx.packet_free_until(owner)
     }
 
     /// The smallest relevant slot index `>= from` (any slot in dense
@@ -148,11 +230,7 @@ impl LmacNode {
         if !self.coarse {
             return from;
         }
-        let mut k = from;
-        while !self.relevant(k) {
-            k += 1;
-        }
-        k
+        from + u64::from(self.to_relevant[self.index(from)])
     }
 
     /// The wake instant for global slot `k` (one startup early).
@@ -163,7 +241,11 @@ impl LmacNode {
 }
 
 impl MacNode for LmacNode {
-    fn start(&mut self, _ctx: &mut Ctx<'_>) {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.heartbeats_fit = ctx.airtime(FrameKind::Control)
+            + ctx.airtime(FrameKind::Data)
+            + Seconds::from_millis(1.0)
+            < self.slot;
         // Every node attends slot 0 (silent or not, the dense schedule
         // starts there); `next_activity` takes it from here.
         self.next_slot = 0;
@@ -177,9 +259,7 @@ impl MacNode for LmacNode {
         let k = self.next_slot;
         // Replay the heard and silent slots the coarse schedule jumped
         // over (empty range in dense mode).
-        for j in self.replay_from..k {
-            self.replay_slot(ctx, j);
-        }
+        self.replay_elided(ctx, k);
         self.replay_from = k + 1;
         self.current_slot = k;
         // Commit the next boundary first, so a crash in this slot's
@@ -190,6 +270,28 @@ impl MacNode for LmacNode {
             // reception): skip this boundary.
             return;
         }
+        if self.coarse {
+            let at = self.lead(ctx, k);
+            match self.heartbeat_pair(ctx, k) {
+                Some((owner, parent)) if self.bare_heartbeat(ctx, k, owner, parent) => {
+                    let (cause, wake) = if owner == ctx.me() {
+                        (Cause::SyncTx, IdleWake::Transmit(FrameKind::Control))
+                    } else {
+                        (Cause::SyncRx, IdleWake::Receive(FrameKind::Control))
+                    };
+                    ctx.replay_idle_wake(at, cause, wake);
+                    return;
+                }
+                Some(_) => {}
+                None => {
+                    // Slot 0, which every node attends: heard or silent
+                    // like any elided slot, so that an owner replaying
+                    // its heartbeat there leaves no listener waiting.
+                    self.replay_slot(ctx, at, self.index(k));
+                    return;
+                }
+            }
+        }
         self.phase = Phase::WakingForSlot;
         let cause = if self.owns(k) {
             Cause::SyncTx
@@ -199,16 +301,13 @@ impl MacNode for LmacNode {
         ctx.wake(cause);
     }
 
+    fn holds_packets(&self) -> bool {
+        !self.queue.is_empty()
+    }
+
     fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
-        // Heard/silent slots still pending when the run ended: replay
-        // the ones whose wake instant lies inside the horizon (the
-        // dense scheduler woke for exactly those).
-        let mut j = self.replay_from;
-        while j < self.next_slot && self.lead(ctx, j) <= ctx.now() {
-            self.replay_slot(ctx, j);
-            j += 1;
-        }
-        self.replay_from = j;
+        // Heard/silent slots still pending when the run ended.
+        self.replay_elided(ctx, self.next_slot);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, id: u64) {

@@ -42,6 +42,28 @@ pub(crate) mod xmac;
 /// the next callback (X-MAC uses this to elide poll ticks that land
 /// mid-exchange, where the dense tick was a provable no-op).
 ///
+/// # Quiet-network replay
+///
+/// Packets enter the network only at application samples. A node that
+/// answers [`MacNode::holds_packets`] truthfully lets the engine know
+/// when the whole network is packet-free, and [`Ctx::quiet_until`]
+/// then bounds how long it stays so: until the next sample anywhere
+/// ([`Ctx::packet_free_until`] is the same bound for one node). A
+/// protocol whose every frame either carries or answers a packet
+/// (X-MAC, DMAC) may replay, instead of simulate, any wake whose whole
+/// window closes strictly before that bound — skipping whole stretches
+/// of them in `next_activity` and charging them lazily, in time order,
+/// before its next radio action or at [`MacNode::on_horizon`]; LMAC
+/// replays a slot whose owner's heartbeat is provably bare. Two rules
+/// keep this bit-identical to the dense schedule:
+///
+/// * no handler of the node may touch the radio inside a replayed
+///   window (X-MAC and DMAC skip only with no timer pending, see
+///   [`Ctx::pending_timers`]);
+/// * a replayed exchange must be replayed by every party to it, from
+///   the same global predicate evaluated at the same instant (an LMAC
+///   slot owner and its parent both decide at the slot's wake).
+///
 /// Implementations must be `Send`: the sharded engine moves each
 /// node's state machine onto its shard's worker thread. Nodes are
 /// plain data (queues, counters, schedule parameters), so this is a
@@ -71,6 +93,17 @@ pub trait MacNode: std::fmt::Debug + Send {
     /// [`Ctx::set_timer`] (e.g. scripted test nodes) keep the default.
     fn next_activity(&mut self, _ctx: &mut Ctx<'_>) -> Option<SimTime> {
         None
+    }
+
+    /// Whether this node holds packets right now — queued, in flight,
+    /// or awaiting a retry. Queried after every callback while the
+    /// engine keeps quiet bookkeeping ([`Ctx::quiet_until`]).
+    ///
+    /// The default, `true`, keeps the network from ever counting as
+    /// quiet, so a protocol that does not answer is never replayed
+    /// around.
+    fn holds_packets(&self) -> bool {
+        true
     }
 
     /// A wake requested through [`MacNode::next_activity`] is due.

@@ -13,16 +13,24 @@
 //!
 //! # Event-coarse scheduling
 //!
-//! A poll with an empty queue still has to listen — any neighbor could
-//! be strobing — so idle polls are protocol cost and cannot be
-//! skipped. What *can* be skipped are the clock ticks that land while
-//! the node is mid-exchange (strobing, backing off, receiving): the
-//! dense scheduler fired those and did provably nothing. Under
-//! [`WakeMode::Coarse`] the node reports no activity while busy and
-//! rejoins its absolute poll grid (`phase + k·Tw`) on the first tick
-//! after it returns to sleep.
+//! Under [`WakeMode::Coarse`] two kinds of poll tick cost no wake:
+//!
+//! * ticks that land while the node is mid-exchange (strobing, backing
+//!   off, receiving): the dense scheduler fired those and did provably
+//!   nothing, so the node reports no activity while busy and rejoins
+//!   its absolute poll grid (`phase + k·Tw`) on the first tick after it
+//!   returns to sleep;
+//! * idle polls of a quiet network. Every X-MAC frame carries a packet
+//!   or answers one (strobes and data come from a packet holder,
+//!   strobe-acks and acks answer them), so while no node holds a packet
+//!   nothing is on the air until the next sample
+//!   ([`Ctx::quiet_until`]). A sleeping node with nothing queued and no
+//!   timer pending jumps over every poll whose listen closes before
+//!   that instant and replays them into its ledger lazily — at its next
+//!   wake or sample, or at the horizon — as the startup-and-silence
+//!   the dense poll would have charged.
 
-use crate::engine::{Ctx, MacNode, WakeMode};
+use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -74,6 +82,10 @@ pub(crate) struct XmacNode {
     poll_phase: f64,
     /// Index of the next poll tick on the grid `phase + k·Tw`.
     next_tick: u64,
+    /// First tick not yet polled, skipped while busy, or replayed:
+    /// ticks `replay_from..next_tick` are quiet polls still owed to
+    /// the ledger.
+    replay_from: u64,
     phase: Phase,
     queue: VecDeque<Packet>,
     in_flight: Option<Packet>,
@@ -98,6 +110,7 @@ impl XmacNode {
             coarse: scheduling == WakeMode::Coarse,
             poll_phase: 0.0,
             next_tick: 0,
+            replay_from: 0,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             in_flight: None,
@@ -114,6 +127,34 @@ impl XmacNode {
         SimTime::from_seconds(Seconds::new(
             self.poll_phase + self.wakeup.value() * k as f64,
         ))
+    }
+
+    /// The instant poll `k`'s listen ends: one startup after its tick,
+    /// then the poll listen.
+    fn poll_end(&self, ctx: &Ctx<'_>, k: u64) -> SimTime {
+        self.tick_time(k)
+            .after(ctx.startup_delay())
+            .after(self.poll_listen)
+    }
+
+    /// Whether nothing of this node's own can wake its radio: asleep,
+    /// nothing queued, no timer pending. Its polls up to
+    /// [`Ctx::quiet_until`] then hear silence.
+    fn idle(&self, ctx: &Ctx<'_>) -> bool {
+        self.coarse
+            && self.phase == Phase::Sleeping
+            && !self.has_pending()
+            && ctx.pending_timers() == 0
+    }
+
+    /// Charges the skipped quiet polls whose tick is due by now.
+    fn replay_polls(&mut self, ctx: &mut Ctx<'_>) {
+        while self.replay_from < self.next_tick && self.tick_time(self.replay_from) <= ctx.now() {
+            let end = self.poll_end(ctx, self.replay_from);
+            let tick = self.tick_time(self.replay_from);
+            ctx.replay_idle_wake(tick, Cause::CarrierSense, IdleWake::Listen(&[end]));
+            self.replay_from += 1;
+        }
     }
 
     /// The ack-listen gap after each strobe: turnaround, the ack
@@ -200,6 +241,11 @@ impl MacNode for XmacNode {
         // Desynchronize poll phases across nodes.
         self.poll_phase = ctx.random_range(0.0, self.wakeup.value());
         self.next_tick = 0;
+        self.replay_from = 0;
+    }
+
+    fn holds_packets(&self) -> bool {
+        self.has_pending()
     }
 
     fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
@@ -214,16 +260,35 @@ impl MacNode for XmacNode {
             // the dense scheduler consumed that tick (still busy)
             // before the callback that just put us to sleep.
             while self.tick_time(self.next_tick) <= ctx.now() {
+                debug_assert_eq!(
+                    self.replay_from, self.next_tick,
+                    "quiet polls replayed first"
+                );
                 self.next_tick += 1;
+                self.replay_from = self.next_tick;
+            }
+            if self.idle(ctx) {
+                let quiet = ctx.quiet_until();
+                while self.poll_end(ctx, self.next_tick) < quiet {
+                    self.next_tick += 1;
+                }
             }
         }
         Some(self.tick_time(self.next_tick))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+        self.replay_polls(ctx);
+        let k = self.next_tick;
         // The poll clock ticks regardless of activity.
         self.next_tick += 1;
-        if self.phase == Phase::Sleeping {
+        self.replay_from = self.next_tick;
+        let end = self.poll_end(ctx, k);
+        if self.idle(ctx) && end < ctx.quiet_until() {
+            // The first poll of a quiet stretch: the node was last
+            // asked for its schedule before the network fell quiet.
+            ctx.replay_idle_wake(ctx.now(), Cause::CarrierSense, IdleWake::Listen(&[end]));
+        } else if self.phase == Phase::Sleeping {
             if self.has_pending() && !ctx.is_sink() {
                 // A queued packet or an interrupted retry (in_flight
                 // survives a failed exchange) takes priority over the
@@ -384,7 +449,12 @@ impl MacNode for XmacNode {
         }
     }
 
+    fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
+        self.replay_polls(ctx);
+    }
+
     fn on_generate(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
+        self.replay_polls(ctx);
         self.queue.push_back(packet);
         self.try_begin_tx(ctx);
     }

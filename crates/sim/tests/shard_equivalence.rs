@@ -13,6 +13,14 @@
 //! would) makes any drift here a synchronization bug, never a
 //! tolerance question.
 //!
+//! Under [`WakeMode::Coarse`] the two sides also run different
+//! schedules: the sequential run keeps the quiet-network bookkeeping
+//! and replays idle polls, cycles and heartbeat slots up to the next
+//! sample, while a sharded run has no whole-network view and
+//! simulates every one of them. The matrix therefore also pins quiet
+//! replay against plain simulation, which is why it stays in the
+//! quick tier.
+//!
 //! The matrix: {Dense, Coarse} wake modes × {1, 2, 4, 7} shards ×
 //! the paper trio (X-MAC, DMAC, LMAC) + SCP + always-on CSMA ×
 //! {ring, uniform disk, hotspot disk} topologies. Shard count 1 runs

@@ -14,8 +14,8 @@ use edmac_net::Topology;
 use edmac_phy::{ChannelModel, SinrChannel, UnitDisk};
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport, Simulation, WakeMode,
-    XmacSim,
+    BurstWindows, CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport,
+    Simulation, TrafficProfile, WakeMode, XmacSim,
 };
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -188,6 +188,77 @@ fn same_seed_reproduces_byte_identical_reports() {
             &disk_run(),
             &format!("{} disk determinism", protocol.name()),
         );
+    }
+}
+
+/// The paper trio: the protocols that replay quiet-network wakes.
+fn trio() -> [Box<dyn SimProtocol>; 3] {
+    [
+        Box::new(XmacSim::new(Seconds::from_millis(100.0))),
+        Box::new(DmacSim::new(Seconds::new(0.5))),
+        Box::new(LmacSim::new(Seconds::from_millis(10.0))),
+    ]
+}
+
+#[test]
+fn coarse_equals_dense_under_burst_windows() {
+    // Synchronized 4x windows: the network flips between quiet
+    // stretches and bursts of samples, so replayed stretches keep
+    // ending on a burst's first sample.
+    for protocol in &trio() {
+        for seed in [3, 8] {
+            let run = |mode| {
+                let sim = Simulation::ring(3, 4, protocol.as_ref(), config(seed, mode))
+                    .expect("buildable ring");
+                let n = sim.node_count();
+                let traffic =
+                    TrafficProfile::uniform(n, Seconds::new(25.0)).with_bursts(BurstWindows {
+                        every: Seconds::new(30.0),
+                        duration: Seconds::new(6.0),
+                        factor: 4.0,
+                    });
+                sim.with_traffic(traffic).expect("valid profile").run()
+            };
+            assert_identical(
+                &run(WakeMode::Coarse),
+                &run(WakeMode::Dense),
+                &format!("{} bursts seed {seed}", protocol.name()),
+            );
+        }
+    }
+}
+
+#[test]
+fn coarse_equals_dense_when_the_horizon_cuts_a_quiet_window() {
+    // Samples every 100 s leave the network quiet for most of a 20 s
+    // run. Sixteen horizons spread over one period of each protocol's
+    // schedule end the run inside the polls, cycles and slots that
+    // quiet replay skips, so the horizon clamp is exercised on every
+    // window shape.
+    for protocol in &trio() {
+        let period = match protocol.name() {
+            "X-MAC" => 0.1,
+            "DMAC" => 0.5,
+            _ => 0.01,
+        };
+        for step in 0..16 {
+            let horizon = 20.0 + period * f64::from(step) / 16.0;
+            let run = |mode| {
+                let cfg = SimConfig {
+                    duration: Seconds::new(horizon),
+                    sample_period: Seconds::new(100.0),
+                    ..config(13, mode)
+                };
+                Simulation::ring(3, 4, protocol.as_ref(), cfg)
+                    .expect("buildable ring")
+                    .run()
+            };
+            assert_identical(
+                &run(WakeMode::Coarse),
+                &run(WakeMode::Dense),
+                &format!("{} horizon {horizon} s", protocol.name()),
+            );
+        }
     }
 }
 
