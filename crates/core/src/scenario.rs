@@ -409,7 +409,7 @@ impl Scenario {
 /// `K` independent duty-cycled networks — each with its own sink,
 /// routing tree and derived seed — deployed side by side on **one
 /// shared channel**, so every network's transmissions are interference
-/// (or, on the binary channel, collision sources) in all the others.
+/// (or, with capture off, collision sources) in all the others.
 ///
 /// This is the workload the coexistence study cells bargain over:
 /// each network plans its MAC parameters for itself, but the channel

@@ -1,5 +1,7 @@
 //! Plane geometry for unit-disk topologies.
 
+use std::collections::HashMap;
+
 /// A point in the plane, in units of the radio range unless stated
 /// otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -48,6 +50,47 @@ impl Point2 {
 impl std::fmt::Display for Point2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "({:.3}, {:.3})", self.x, self.y)
+    }
+}
+
+/// Visits every unordered pair `(i, j)`, `i < j`, of `positions` at
+/// most `range` apart, with its squared distance: `j` ascending within
+/// each `i`, `i` ascending — exactly the order of an all-pairs scan.
+///
+/// A spatial hash with `range`-sized cells finds the candidates (every
+/// pair in range lies in a 3×3 cell neighborhood), taking the pass from
+/// O(n²) pair tests to O(n + m): the difference between minutes and
+/// milliseconds on a 100k-node disk.
+pub fn each_pair_within(
+    positions: &[Point2],
+    range: f64,
+    mut visit: impl FnMut(usize, usize, f64),
+) {
+    let range = range.max(f64::MIN_POSITIVE);
+    let range_sq = range * range;
+    let cell_of = |p: &Point2| ((p.x / range).floor() as i64, (p.y / range).floor() as i64);
+    let mut cells: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+    for (i, p) in positions.iter().enumerate() {
+        cells.entry(cell_of(p)).or_default().push(i);
+    }
+    let mut candidates = Vec::new();
+    for (i, p) in positions.iter().enumerate() {
+        let (cx, cy) = cell_of(p);
+        candidates.clear();
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                if let Some(bucket) = cells.get(&(cx + dx, cy + dy)) {
+                    candidates.extend(bucket.iter().copied().filter(|&j| j > i));
+                }
+            }
+        }
+        candidates.sort_unstable();
+        for &j in &candidates {
+            let d_sq = p.distance_squared(positions[j]);
+            if d_sq <= range_sq {
+                visit(i, j, d_sq);
+            }
+        }
     }
 }
 

@@ -65,7 +65,7 @@ mod tree;
 
 pub use coloring::{distance_two_coloring, random_slot_assignment, Coloring};
 pub use error::NetError;
-pub use geometry::Point2;
+pub use geometry::{each_pair_within, Point2};
 pub use graph::{Graph, NodeId};
 pub use rings::RingModel;
 pub use topology::Topology;

@@ -1,15 +1,15 @@
 //! Physical-layer channel models for the ED-MAC simulator.
 //!
-//! The engine historically modelled the channel as a **binary
-//! unit-disk** graph: every node within distance 1 hears every frame,
-//! any overlap destroys the locked reception, and links are symmetric
-//! by construction. That is the degenerate end of a spectrum this
-//! crate makes explicit through the [`ChannelModel`] trait:
+//! A [`ChannelModel`] realizes node positions into a [`LinkField`]
+//! (who hears whom, at what power) and hands the engine the
+//! [`SinrParams`] it judges every reception by. The engine has one
+//! decode rule; the models differ only in what they feed it:
 //!
-//! * [`UnitDisk`] — the existing behavior, kept as the reference
-//!   implementation and the default everywhere. A simulation built
-//!   over `UnitDisk` is *bit-for-bit identical* to one built without a
-//!   channel model at all (the engine keeps its binary fast path).
+//! * [`UnitDisk`] — the paper's unit-disk graph and the default
+//!   everywhere: every node within distance 1 hears every frame at
+//!   unit power, links are symmetric, and its capture-off parameters
+//!   make the first arrival lock and any overlap destroy the locked
+//!   reception.
 //! * [`SinrChannel`] — log-distance path loss with per-directed-link
 //!   lognormal shadowing and a thermal noise floor. A reception is
 //!   decodable iff its SINR clears a capture threshold against the
@@ -20,9 +20,9 @@
 //! [`ChannelModel::realize`] turns node positions into a [`LinkField`]:
 //! per-directed-link received powers above an interference floor, plus
 //! the symmetric decode graph (both directions above sensitivity) that
-//! routing runs over. Realization uses the same spatial-hash candidate
-//! pruning as `edmac_net::Topology::graph`, so 100k-node fields stay
-//! O(n) for bounded densities.
+//! routing runs over. Realization prunes candidates with the spatial
+//! hash `edmac_net::Topology::graph` uses ([`each_pair_within`]), so
+//! 100k-node fields stay O(n) for bounded densities.
 //!
 //! Distances are in the unit-disk scale the rest of the workspace
 //! uses (disk radius ≡ 1), and the power figures are *stylized*: the
@@ -34,8 +34,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-use edmac_net::{Graph, NodeId, Point2};
-use std::collections::HashMap;
+use edmac_net::{each_pair_within, Graph, NodeId, Point2};
 
 /// Convert a power in dBm to linear milliwatts.
 #[inline]
@@ -49,11 +48,8 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
     10.0 * mw.log10()
 }
 
-/// The SINR decode parameters a realized channel hands the engine.
-///
-/// `None` from [`ChannelModel::sinr`] means the engine should keep its
-/// binary overlap-collision bookkeeping; `Some` switches it to
-/// power-accurate interference tracking.
+/// The SINR decode parameters a realized channel hands the engine,
+/// which judges every reception by them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinrParams {
     /// Thermal noise floor, linear mW.
@@ -62,11 +58,12 @@ pub struct SinrParams {
     /// noise (counted, never locked onto).
     pub sensitivity_mw: f64,
     /// Capture threshold as a *linear* SINR ratio. `None` disables
-    /// capture: the receiver locks onto the first arrival exactly like
-    /// the binary engine, and any overlap while locked destroys the
-    /// frame. `Some(c)` engages full SINR gating: a frame locks (and
-    /// stays decodable) only while its SINR against noise plus summed
-    /// interference is at least `c`.
+    /// capture: the receiver locks onto the first arrival at or above
+    /// sensitivity, and any overlap while locked destroys the frame
+    /// (the unit-disk rule) — no SINR is ever computed. `Some(c)`
+    /// engages full SINR gating: a frame locks (and stays decodable)
+    /// only while its SINR against noise plus summed interference is
+    /// at least `c`.
     pub capture: Option<f64>,
 }
 
@@ -211,50 +208,16 @@ pub trait ChannelModel: std::fmt::Debug {
     /// always yields the same field.
     fn realize(&self, positions: &[Point2], seed: u64) -> LinkField;
 
-    /// The decode parameters the engine should run with, or `None` for
-    /// binary overlap-collision bookkeeping.
-    fn sinr(&self) -> Option<SinrParams>;
-}
-
-/// Spatial-hash pass shared by both models: buckets positions into
-/// `range`-sized cells and visits each unordered pair `(i, j)` with
-/// `i < j` at most `range` apart, `j` ascending per `i` — the same
-/// discipline `Topology::graph` uses, so adjacency orderings match the
-/// unit-disk builder exactly.
-fn each_candidate_pair(positions: &[Point2], range: f64, mut visit: impl FnMut(usize, usize, f64)) {
-    let range = range.max(f64::MIN_POSITIVE);
-    let range_sq = range * range;
-    let cell_of = |p: &Point2| ((p.x / range).floor() as i64, (p.y / range).floor() as i64);
-    let mut cells: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
-    for (i, p) in positions.iter().enumerate() {
-        cells.entry(cell_of(p)).or_default().push(i);
-    }
-    let mut candidates = Vec::new();
-    for (i, p) in positions.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        candidates.clear();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(bucket) = cells.get(&(cx + dx, cy + dy)) {
-                    candidates.extend(bucket.iter().copied().filter(|&j| j > i));
-                }
-            }
-        }
-        candidates.sort_unstable();
-        for &j in &candidates {
-            let d_sq = p.distance_squared(positions[j]);
-            if d_sq <= range_sq {
-                visit(i, j, d_sq);
-            }
-        }
-    }
+    /// The decode parameters the engine judges every reception by.
+    fn sinr(&self) -> SinrParams;
 }
 
 /// The degenerate reference: every node within distance 1 hears every
-/// frame, any overlap destroys a locked reception, links are
-/// symmetric. A simulation built over `UnitDisk` keeps the engine's
-/// binary fast path and is byte-identical to one built with no channel
-/// model at all.
+/// frame at unit power (1 mW), links are symmetric, and its capture-off
+/// [`SinrParams`], with sensitivity at that unit power, make the first
+/// arrival lock and any overlap destroy a locked reception.
+/// [`SinrChannel::degenerate`] realizes the same links and decodes
+/// the same way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitDisk;
 
@@ -266,7 +229,7 @@ impl ChannelModel for UnitDisk {
     fn realize(&self, positions: &[Point2], _seed: u64) -> LinkField {
         let mut receivers = vec![Vec::new(); positions.len()];
         let mut decode_edges = Vec::new();
-        each_candidate_pair(positions, 1.0, |i, j, _d_sq| {
+        each_pair_within(positions, 1.0, |i, j, _d_sq| {
             let (a, b) = (NodeId::new(i), NodeId::new(j));
             receivers[i].push((b, 1.0));
             receivers[j].push((a, 1.0));
@@ -278,8 +241,13 @@ impl ChannelModel for UnitDisk {
         }
     }
 
-    fn sinr(&self) -> Option<SinrParams> {
-        None
+    fn sinr(&self) -> SinrParams {
+        // No noise floor: with capture off no SINR is ever computed.
+        SinrParams {
+            noise_mw: 0.0,
+            sensitivity_mw: 1.0,
+            capture: None,
+        }
     }
 }
 
@@ -331,7 +299,7 @@ pub struct SinrChannel {
     pub sensitivity_dbm: f64,
     /// Capture threshold in dB (default `Some(6.0)`). `None` turns
     /// capture off: first-arrival locking and overlap-destroys, i.e.
-    /// the binary engine's decision rule over SINR-realized links.
+    /// [`UnitDisk`]'s decision rule over SINR-realized links.
     pub capture_db: Option<f64>,
     /// Links below this received power (dBm) are dropped from the
     /// field entirely (default −55: interference range ≈ 3.16 disk
@@ -355,9 +323,9 @@ impl Default for SinrChannel {
 }
 
 impl SinrChannel {
-    /// The configuration that reproduces [`UnitDisk`] exactly while
-    /// exercising the engine's SINR code path: σ = 0 (symmetric
-    /// links), capture off (binary lock/destroy decisions), and the
+    /// The configuration that reproduces [`UnitDisk`] exactly over
+    /// path-loss powers: σ = 0 (symmetric links), capture off
+    /// (first-arrival lock, overlap destroys), and the
     /// interference floor raised to the sensitivity threshold (air
     /// adjacency ≡ decode adjacency ≡ the unit-disk graph).
     pub fn degenerate() -> SinrChannel {
@@ -414,7 +382,7 @@ impl ChannelModel for SinrChannel {
         let floor = self.interference_floor_dbm.min(sens);
         let mut receivers = vec![Vec::new(); positions.len()];
         let mut decode_edges = Vec::new();
-        each_candidate_pair(positions, self.candidate_range(), |i, j, d_sq| {
+        each_pair_within(positions, self.candidate_range(), |i, j, d_sq| {
             let fwd = self.rx_dbm(seed, i, j, d_sq);
             let rev = self.rx_dbm(seed, j, i, d_sq);
             if fwd >= floor {
@@ -433,8 +401,8 @@ impl ChannelModel for SinrChannel {
         }
     }
 
-    fn sinr(&self) -> Option<SinrParams> {
-        Some(self.params())
+    fn sinr(&self) -> SinrParams {
+        self.params()
     }
 }
 
@@ -526,10 +494,13 @@ mod tests {
 
     #[test]
     fn degenerate_mode_has_no_capture_and_disk_thresholds() {
-        let params = SinrChannel::degenerate().params();
-        assert_eq!(params.capture, None);
-        assert!(params.decodable(params.sensitivity_mw, 10.0 * params.sensitivity_mw));
-        assert!(!params.decodable(params.sensitivity_mw * 0.999, 0.0));
+        for params in [SinrChannel::degenerate().params(), UnitDisk.sinr()] {
+            assert_eq!(params.capture, None);
+            assert!(params.decodable(params.sensitivity_mw, 10.0 * params.sensitivity_mw));
+            assert!(!params.decodable(params.sensitivity_mw * 0.999, 0.0));
+        }
+        // UnitDisk's links all sit exactly at its sensitivity.
+        assert!(UnitDisk.sinr().decodable(1.0, 0.0));
     }
 
     #[test]

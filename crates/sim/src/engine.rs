@@ -1,5 +1,12 @@
-//! The simulation engine: event loop, radio state machine, unit-disk
-//! channel with collisions, timers and energy accounting.
+//! The simulation engine: event loop, radio state machine, channel
+//! with collisions and SINR capture, timers and energy accounting.
+//!
+//! Every reception is judged by one rule, parameterized by the
+//! channel's [`SinrParams`]: a listening, unlocked radio locks onto an
+//! arrival at or above sensitivity; with capture off any overlap then
+//! destroys the locked frame, with capture on the frame survives while
+//! its SINR against the summed interference clears the threshold.
+//! [`UnitDisk`] is the capture-off case at unit power.
 //!
 //! # Sharded execution
 //!
@@ -58,11 +65,14 @@ pub enum WakeMode {
     ///
     /// A replay is proven only by a network's own schedule, so it is
     /// sound only when every transmission a node can hear comes from
-    /// its own network over a decode edge. [`Simulation::new`] runs a
-    /// requested `Coarse` as `Dense` whenever some air link of the
-    /// realized channel is not a decode edge within one network: a
-    /// link between two networks, or an interference-only link of a
-    /// SINR channel. A single network on [`UnitDisk`] or
+    /// its own network over a decode edge, and when no decode reads
+    /// the interference a replayed wake would have added. The one
+    /// predicate [`Simulation::new`] computes for both this and the
+    /// receiver elision is: capture off, and every air link of the
+    /// realized channel a decode edge within one network. A requested
+    /// `Coarse` runs as `Dense` wherever it fails: a link between two
+    /// networks, an interference-only link, or capture on. A single
+    /// network on [`UnitDisk`] or
     /// [`SinrChannel::degenerate`](edmac_phy::SinrChannel::degenerate)
     /// stays `Coarse`.
     #[default]
@@ -188,11 +198,10 @@ pub(crate) struct RadioState {
 struct ActiveRx {
     tx_seq: u64,
     corrupted: bool,
-    /// Received power of the locked frame (mW; 0.0 on the binary
-    /// channel, which never reads it).
+    /// Received power of the locked frame (mW).
     signal_mw: f64,
-    /// Worst SINR the locked frame saw while on the air (∞ on the
-    /// binary channel).
+    /// Worst SINR the locked frame saw while on the air (∞ with
+    /// capture off, where no SINR is computed).
     min_sinr: f64,
     /// `true` if an interferer overlapped the locked frame and SINR
     /// capture rode it out — a decode under this flag is a *capture*.
@@ -209,25 +218,6 @@ impl ActiveRx {
             overlapped,
         }
     }
-}
-
-/// How the engine judges receptions.
-///
-/// `Binary` is the unit-disk rule (first arrival locks, any overlap
-/// destroys), used for every channel whose [`ChannelModel::sinr`] is
-/// `None`; its code paths are untouched by the SINR machinery. `Sinr`
-/// carries per-directed-link received powers parallel to
-/// `Shared::neighbors` and the decode parameters from the realized
-/// [`ChannelModel`].
-#[derive(Debug)]
-pub(crate) enum ChannelKind {
-    Binary,
-    Sinr {
-        /// `rx_power[u][i]` = received power (mW) at
-        /// `neighbors[u][i]` of a frame transmitted by `u`.
-        rx_power: Vec<Vec<f64>>,
-        params: SinrParams,
-    },
 }
 
 /// Decorrelates per-node RNG streams: two rounds of splitmix64 over
@@ -254,12 +244,11 @@ pub(crate) struct NodeState {
     pub(crate) radio: RadioState,
     ledger: EnergyLedger,
     active_rx: Option<ActiveRx>,
-    air_count: u32,
-    /// Incremental total on-air power (SINR channel only; stays empty
-    /// and unread on the binary channel).
+    /// Frames on the air here and their total power: the count is the
+    /// CCA primitive, the power is read only with capture on.
     tally: InterferenceTally,
     /// Sum of per-decode SINRs in dB and the number of decodes behind
-    /// it (SINR channel only) — feeds `NodeStats::mean_sinr_db`.
+    /// it (capture on only) — feeds `NodeStats::mean_sinr_db`.
     sinr_db_sum: f64,
     sinr_decoded: u64,
     counters: crate::frame::FrameCounters,
@@ -301,7 +290,6 @@ impl NodeState {
             },
             ledger: EnergyLedger::new(radio.power),
             active_rx: None,
-            air_count: 0,
             tally: InterferenceTally::new(),
             sinr_db_sum: 0.0,
             sinr_decoded: 0,
@@ -348,15 +336,16 @@ pub(crate) struct Shared {
     pub(crate) end: SimTime,
     pub(crate) radio_hw: Radio,
     frames: FrameSizes,
-    pub(crate) neighbors: Vec<Vec<NodeId>>,
+    /// The realized channel. Its receivers are the *air* adjacency
+    /// (everyone who registers a transmission, with the power it
+    /// receives), a superset of the decode graph routing was built
+    /// over — the sharded scheduler's lookahead keys on it, so it stays
+    /// conservative under interference-range > decode-range for free.
+    pub(crate) field: LinkField,
+    /// How receptions are judged.
+    params: SinrParams,
     parent: Vec<Option<NodeId>>,
     depth: Vec<usize>,
-    /// How receptions are judged. `neighbors` is the channel's *air*
-    /// adjacency (everyone who registers a transmission), a superset of
-    /// the decode graph routing was built over — the sharded
-    /// scheduler's lookahead keys on `neighbors`, so it stays
-    /// conservative under interference-range > decode-range for free.
-    channel: ChannelKind,
     /// The network each node belongs to (all 0 in a single-network
     /// build). Frames decode across networks — the radio cannot know
     /// better — but `on_frame` only fires for same-network traffic,
@@ -370,7 +359,7 @@ pub(crate) struct Shared {
     pub(crate) config: SimConfig,
     /// `true` when the engine may leave sleeping receivers out of a
     /// transmission's air batches (decided by [`Simulation::new`]).
-    cca_free: bool,
+    elide_sleepers: bool,
     /// Per-node traffic overriding [`SimConfig::sample_period`].
     traffic: Option<TrafficProfile>,
     /// The shard owning each global node.
@@ -411,14 +400,9 @@ impl Shared {
     }
 
     /// The `i`-th air neighbor of `src` and the power (mW) it receives
-    /// from `src` (`0.0` on the binary channel, which never reads it).
+    /// from `src`.
     fn air_link(&self, src: NodeId, i: u32) -> (NodeId, f64) {
-        let i = i as usize;
-        let power_mw = match &self.channel {
-            ChannelKind::Binary => 0.0,
-            ChannelKind::Sinr { rx_power, .. } => rx_power[src.index()][i],
-        };
-        (self.neighbors[src.index()][i], power_mw)
+        self.field.receivers(src)[i as usize]
     }
 
     /// The network `node` belongs to (0 in a single-network build).
@@ -673,7 +657,7 @@ impl Ctx<'_> {
     /// Returns `true` if any in-range transmission is currently on the
     /// air (the CCA primitive).
     pub fn channel_busy(&self) -> bool {
-        self.shard.nodes[self.local].air_count > 0
+        self.shard.nodes[self.local].tally.count() > 0
     }
 
     /// Returns `true` if the radio is currently locked onto a frame.
@@ -867,22 +851,19 @@ impl Ctx<'_> {
         // other entry sorts between the receivers of one batch.
         let mut local: Option<(u32, OrderKey, OrderKey)> = None;
         let mut remote: Vec<(u32, AirBatch)> = Vec::new();
-        for (i, &neighbor) in shared.neighbors[self.node.index()].iter().enumerate() {
+        for (i, &(neighbor, _)) in shared.field.receivers(self.node).iter().enumerate() {
             let dest_shard = shared.shard_of[neighbor.index()];
             // A receiver asleep at the first bit can never lock onto
             // the frame; the only residue of delivering the frame to
-            // it would be the `air_count` the CCA primitive reads. For a
-            // protocol that never samples the channel (LMAC), that
-            // residue is unobservable, so the receiver is left out of
-            // the record. On the SINR channel every receiver stays in:
-            // its power contributes to the interference every *later*-
-            // locked frame there is judged against. A receiver in
-            // another shard always stays in too: its radio mode cannot
-            // be read here, and delivering to a sleeping CCA-free
-            // receiver is provably unobservable.
+            // it would be its interference tally, whose count the CCA
+            // primitive reads and whose power only capture reads. For a
+            // protocol that never samples the channel (LMAC), on a
+            // capture-off channel, that residue is unobservable, so the
+            // receiver is left out of the record. A receiver in another
+            // shard always stays in: its radio mode cannot be read
+            // here, and delivering to it is equally unobservable.
             if dest_shard == self.shard.id
-                && matches!(shared.channel, ChannelKind::Binary)
-                && shared.cca_free
+                && shared.elide_sleepers
                 && self.shard.nodes[shared.local(neighbor)].radio.mode == Mode::Sleep
             {
                 continue;
@@ -1070,71 +1051,48 @@ fn air_start(
     frame: &Frame,
     power_mw: f64,
 ) {
-    st.air_count += 1;
-    match &shared.channel {
-        ChannelKind::Binary => match st.radio.mode {
-            Mode::Listen => {
-                if st.active_rx.is_none() {
-                    let cause = frame.kind.rx_cause(frame.addressed_to(node));
-                    st.set_mode(now, Mode::Rx, cause);
-                    st.active_rx = Some(ActiveRx::lock(tx_seq, 0.0, f64::INFINITY, false));
-                } else if let Some(rx) = &mut st.active_rx {
-                    // A second in-range transmission: collision.
-                    rx.corrupted = true;
-                }
-            }
-            Mode::Rx => {
-                if let Some(rx) = &mut st.active_rx {
-                    rx.corrupted = true;
-                }
-            }
-            Mode::Sleep | Mode::Startup | Mode::Tx => {}
-        },
-        ChannelKind::Sinr { params, .. } => {
-            st.tally.add(power_mw);
-            if let Some(rx) = &mut st.active_rx {
-                // An interferer arrived over a locked frame: with
-                // capture on, the lock survives while its SINR clears
-                // the threshold; with capture off, any overlap destroys
-                // it (the binary rule). Corruption latches — a strong
-                // frame that once dipped below threshold stays lost
-                // even if the interferer ends first.
+    let params = &shared.params;
+    st.tally.add(power_mw);
+    if let Some(rx) = &mut st.active_rx {
+        // An interferer arrived over a locked frame: with capture on,
+        // the lock survives while its SINR clears the threshold; with
+        // capture off, any overlap destroys it. Corruption latches — a
+        // strong frame that once dipped below threshold stays lost
+        // even if the interferer ends first.
+        match params.capture {
+            Some(c) => {
                 let sinr = st.tally.sinr(rx.signal_mw, params.noise_mw);
-                match params.capture {
-                    Some(c) => {
-                        rx.overlapped = true;
-                        rx.min_sinr = rx.min_sinr.min(sinr);
-                        if sinr < c {
-                            rx.corrupted = true;
-                        }
-                    }
-                    None => rx.corrupted = true,
-                }
-            } else if st.radio.mode == Mode::Listen {
-                if power_mw < params.sensitivity_mw {
-                    // Audible energy, undecodable signal: the radio
-                    // never syncs on it.
-                    st.counters.record_below_noise();
-                } else {
-                    let sinr = st.tally.sinr(power_mw, params.noise_mw);
-                    let interference = st.tally.power_mw() - power_mw;
-                    let (locks, overlapped) = match params.capture {
-                        // Capture decides the lock against the ongoing
-                        // interference.
-                        Some(c) => (sinr >= c, interference > 0.0),
-                        // Capture off: first arrival locks
-                        // unconditionally, exactly like the binary
-                        // engine (a node waking into an ongoing frame's
-                        // tail still locks the next arrival cleanly).
-                        None => (true, false),
-                    };
-                    if locks {
-                        let cause = frame.kind.rx_cause(frame.addressed_to(node));
-                        st.set_mode(now, Mode::Rx, cause);
-                        st.active_rx = Some(ActiveRx::lock(tx_seq, power_mw, sinr, overlapped));
-                    }
+                rx.overlapped = true;
+                rx.min_sinr = rx.min_sinr.min(sinr);
+                if sinr < c {
+                    rx.corrupted = true;
                 }
             }
+            None => rx.corrupted = true,
+        }
+    } else if st.radio.mode == Mode::Listen {
+        if power_mw < params.sensitivity_mw {
+            // Audible energy, undecodable signal: the radio never syncs
+            // on it.
+            st.counters.record_below_noise();
+            return;
+        }
+        let (locks, sinr, overlapped) = match params.capture {
+            // Capture decides the lock against the ongoing
+            // interference.
+            Some(c) => {
+                let sinr = st.tally.sinr(power_mw, params.noise_mw);
+                (sinr >= c, sinr, st.tally.power_mw() > power_mw)
+            }
+            // Capture off: first arrival locks unconditionally (a node
+            // waking into an ongoing frame's tail still locks the next
+            // arrival cleanly).
+            None => (true, f64::INFINITY, false),
+        };
+        if locks {
+            let cause = frame.kind.rx_cause(frame.addressed_to(node));
+            st.set_mode(now, Mode::Rx, cause);
+            st.active_rx = Some(ActiveRx::lock(tx_seq, power_mw, sinr, overlapped));
         }
     }
 }
@@ -1153,10 +1111,7 @@ fn air_end(
 ) {
     let now = shard.now;
     let st = &mut shard.nodes[shared.local(node)];
-    st.air_count = st.air_count.saturating_sub(1);
-    if let ChannelKind::Sinr { .. } = &shared.channel {
-        st.tally.remove(power_mw);
-    }
+    st.tally.remove(power_mw);
     let finished = match &st.active_rx {
         Some(rx) if rx.tx_seq == tx_seq => Some((rx.corrupted, rx.min_sinr, rx.overlapped)),
         _ => None,
@@ -1172,6 +1127,8 @@ fn air_end(
             if overlapped {
                 st.counters.record_captured();
             }
+            // Only capture-on decodes carry a SINR sample: the one
+            // case where SINR decides a decode.
             if min_sinr.is_finite() {
                 st.sinr_db_sum += 10.0 * min_sinr.log10();
                 st.sinr_decoded += 1;
@@ -1423,8 +1380,8 @@ impl Simulation {
     /// realized over the union of all positions; each network routes
     /// over the realized decode edges among its own nodes, while every
     /// air link — within or across networks — delivers frames, so one
-    /// network's transmissions are interference (or, on a binary
-    /// channel, collision sources) in every other. Global node ids are
+    /// network's transmissions are interference (or, with capture off,
+    /// collision sources) in every other. Global node ids are
     /// assigned contiguously in network order. Cross-network frames are
     /// decoded by the radio (energy and counters are charged) but
     /// filtered before the MAC state machine, like a PAN-id check.
@@ -1435,14 +1392,19 @@ impl Simulation {
     ///   `config.seed`; with several, network `k` gets its own
     ///   decorrelated seed (so e.g. LMAC's slot-assignment RNG differs
     ///   per network).
-    /// * **CCA-free receiver elision.** Receivers asleep when a frame
-    ///   starts are left out of its air batches only for a single
-    ///   network on a binary channel whose protocol never samples the
-    ///   channel ([`SimProtocol::cca_free`]).
+    /// * **Schedule-proven silence.** One predicate — capture off, and
+    ///   every air link of the realized field a decode edge within one
+    ///   network — gates both of the following. With capture off a
+    ///   lock never reads the interference tally, and no node hears a
+    ///   transmitter its own schedule does not know.
     /// * **Wake mode.** A requested [`WakeMode::Coarse`] runs as
-    ///   [`WakeMode::Dense`] unless every air link of the realized field
-    ///   is a decode edge within one network (see [`WakeMode::Coarse`]);
-    ///   the mode that ran is the one in the report's [`SimConfig`].
+    ///   [`WakeMode::Dense`] unless the predicate holds (see
+    ///   [`WakeMode::Coarse`]); the mode that ran is the one in the
+    ///   report's [`SimConfig`].
+    /// * **CCA-free receiver elision.** Receivers asleep when a frame
+    ///   starts are left out of its air batches only where the
+    ///   predicate holds, for a single network whose protocol never
+    ///   samples the channel ([`SimProtocol::cca_free`]).
     ///
     /// # Errors
     ///
@@ -1473,7 +1435,10 @@ impl Simulation {
         let n = positions.len();
         let field = channel.realize(&positions, config.seed);
         let decode = field.decode_graph();
-        if !schedules_cover_air(&field, &decode, &network_of) {
+        let params = channel.sinr();
+        let schedule_proven =
+            params.capture.is_none() && schedules_cover_air(&field, &decode, &network_of);
+        if !schedule_proven {
             config.scheduling = WakeMode::Dense;
         }
 
@@ -1517,25 +1482,8 @@ impl Simulation {
             off += nk;
         }
 
-        let air = |u: usize| field.receivers(NodeId::new(u));
-        let neighbors = (0..n)
-            .map(|u| air(u).iter().map(|&(v, _)| v).collect())
-            .collect();
-        let params = channel.sinr();
-        // The elision reasons over binary decode semantics on a
-        // schedule-provably silent receiver: SINR interference power
-        // must always ship, and another network's traffic makes no
-        // receiver provably silent.
-        let cca_free = networks.len() == 1 && params.is_none() && networks[0].protocol.cca_free();
-        let channel = match params {
-            Some(params) => ChannelKind::Sinr {
-                rx_power: (0..n)
-                    .map(|u| air(u).iter().map(|&(_, p)| p).collect())
-                    .collect(),
-                params,
-            },
-            None => ChannelKind::Binary,
-        };
+        let elide_sleepers =
+            schedule_proven && networks.len() == 1 && networks[0].protocol.cca_free();
         let mut airtime_ns = [0; FrameKind::ALL.len()];
         for kind in FrameKind::ALL {
             airtime_ns[kind.index()] =
@@ -1549,15 +1497,15 @@ impl Simulation {
             airtime_ns,
             radio_hw: radio,
             frames,
-            neighbors,
+            field,
+            params,
             parent,
             depth,
-            channel,
             network_of,
             sinks,
             max_depths,
             config,
-            cca_free,
+            elide_sleepers,
             traffic: None,
             shard_of: vec![0; n],
             local_of: (0..n as u32).collect(),
@@ -1684,7 +1632,7 @@ impl Simulation {
         } = self;
         let n = machines.len();
         let k = shards.min(n).max(1);
-        let plan = crate::shard::ShardPlan::new(&positions, &shared.neighbors, k);
+        let plan = crate::shard::ShardPlan::new(&positions, &shared.field, k);
         plan.apply(&mut shared);
         let mut built = build_shards(&shared, &plan, machines);
         for shard in &mut built {
@@ -1754,7 +1702,8 @@ pub struct CoexNetwork<'a> {
 }
 
 /// Whether every air link of `field` is a decode edge between two nodes
-/// of one network — the condition [`WakeMode::Coarse`] replay needs.
+/// of one network — with capture off, the condition schedule-proven
+/// silence needs ([`WakeMode::Coarse`]).
 fn schedules_cover_air(field: &LinkField, decode: &Graph, network_of: &[u32]) -> bool {
     (0..field.len()).all(|u| {
         let tx = NodeId::new(u);
@@ -1792,9 +1741,11 @@ fn build_shards(
         let boundary: Vec<bool> = members
             .iter()
             .map(|u| {
-                shared.neighbors[u.index()]
+                shared
+                    .field
+                    .receivers(*u)
                     .iter()
-                    .any(|v| shared.shard_of[v.index()] != s as u32)
+                    .any(|&(v, _)| shared.shard_of[v.index()] != s as u32)
             })
             .collect();
         let pending = members.iter().map(|_| BinaryHeap::new()).collect();
@@ -1831,7 +1782,7 @@ fn collect_results(
     shared: &Shared,
     shards: Vec<ShardState>,
 ) -> (Vec<NodeStats>, Vec<PacketRecord>) {
-    let n = shared.neighbors.len();
+    let n = shared.field.len();
     let mut per_node: Vec<Option<NodeStats>> = (0..n).map(|_| None).collect();
     let mut deliveries: HashMap<u64, (SimTime, u32)> = HashMap::new();
     let mut records: Vec<PacketRecord> = Vec::new();

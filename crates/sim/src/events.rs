@@ -60,9 +60,9 @@ pub(crate) struct Transmission {
     pub tx_seq: u64,
     /// The frame itself (`frame.src` is the transmitter).
     pub frame: Frame,
-    /// This shard's receivers, as indices into the transmitter's air
-    /// neighbor list, in neighbor order (received powers are read from
-    /// the channel's per-link table at the same index).
+    /// This shard's receivers, as indices into the transmitter's
+    /// receivers in the realized link field, in that order (each entry
+    /// there carries the received power).
     pub receivers: Vec<u32>,
 }
 

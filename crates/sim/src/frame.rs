@@ -137,22 +137,23 @@ impl FrameCounters {
     }
 
     /// Receptions at this node that were *destroyed* by overlapping
-    /// transmissions: binary-channel overlap, or SINR dipping below
-    /// the capture threshold.
+    /// transmissions: any overlap with capture off, or SINR dipping
+    /// below the capture threshold with capture on.
     pub fn collisions(&self) -> u64 {
         self.collisions
     }
 
     /// Receptions that survived an overlap because SINR capture rode
-    /// it out. Always 0 on the binary channel and with capture off;
-    /// every captured frame is also counted in [`rx`](Self::rx).
+    /// it out. 0 unless capture is on; every captured frame is also
+    /// counted in [`rx`](Self::rx).
     pub fn captured(&self) -> u64 {
         self.captured
     }
 
     /// Arrivals whose received power was below the radio's sensitivity
     /// while this node was listening unlocked — audible energy the
-    /// radio could never sync on. SINR channel only.
+    /// radio could never sync on. 0 wherever every air link clears the
+    /// sensitivity (always on the unit disk).
     pub fn below_noise(&self) -> u64 {
         self.below_noise
     }

@@ -4,8 +4,11 @@
 //! analysis, whose credibility rested on packet-level validation. This
 //! crate rebuilds that evidence chain: a discrete-event simulator with
 //!
-//! * a unit-disk channel with **collisions** (overlapping in-range
-//!   transmissions corrupt each other at a listening receiver),
+//! * a channel with **collisions** (overlapping in-range
+//!   transmissions corrupt each other at a listening receiver) realized
+//!   by an [`edmac_phy::ChannelModel`] and judged by one decode rule:
+//!   the unit disk is its capture-off case, a SINR channel with capture
+//!   lets a strong frame ride out weak interferers,
 //! * a five-state **radio** (sleep / startup / listen / rx / tx) whose
 //!   transitions charge an [`EnergyLedger`](edmac_radio::EnergyLedger)
 //!   using the same power profiles and cause taxonomy as the analytical

@@ -34,10 +34,12 @@ pub trait SimProtocol: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// `true` when every node of this protocol *never* samples the
-    /// channel (no CCA). The engine then leaves receivers that are
-    /// asleep when a frame starts out of that transmission's air batch —
-    /// the only observable residue of delivering it to them would be
-    /// the `air_count` the CCA primitive reads.
+    /// channel (no CCA). Where the channel has capture off and every
+    /// air link is a decode edge of one network, the engine then leaves
+    /// receivers that are asleep when a frame starts out of that
+    /// transmission's air batch — the only observable residue of
+    /// delivering it to them would be the on-air count the CCA
+    /// primitive reads.
     fn cca_free(&self) -> bool {
         false
     }

@@ -21,10 +21,10 @@ pub struct NodeStats {
     /// Frame-level accounting (transmissions, receptions, collisions).
     pub counters: FrameCounters,
     /// Mean SINR (dB) of the frames this node decoded, using each
-    /// frame's *worst* SINR while on the air. `None` on the binary
-    /// channel or when nothing was decoded. Decodes replayed by
-    /// coarse-mode wake elisions (e.g. LMAC control sections) happen
-    /// outside the event path and contribute no sample.
+    /// frame's *worst* SINR while on the air. `None` unless capture is
+    /// on — the one case where SINR decides a decode, and one that
+    /// always runs [`WakeMode::Dense`](crate::WakeMode::Dense), so no
+    /// decode is replayed — or when nothing was decoded.
     pub mean_sinr_db: Option<f64>,
 }
 
@@ -260,8 +260,9 @@ impl SimReport {
     /// Network-wide collision-cause breakdown: `(destroyed, captured,
     /// below_noise)` — locked frames lost to overlap, overlapped
     /// frames that decoded anyway thanks to SINR capture, and arrivals
-    /// too weak to sync on. The latter two are always 0 on the binary
-    /// channel.
+    /// too weak to sync on. Captures are 0 unless capture is on;
+    /// below-noise arrivals are 0 wherever every air link clears the
+    /// sensitivity (always on the unit disk).
     pub fn collision_causes(&self) -> (u64, u64, u64) {
         self.per_node.iter().fold((0, 0, 0), |(d, c, b), s| {
             (
@@ -276,7 +277,8 @@ impl SimReport {
     /// in the style of [`delay_stats_by_depth`](Self::delay_stats_by_depth):
     /// one `(depth, mean dB, nodes reporting)` row per depth class
     /// (sink's class 0 included) in which at least one node decoded a
-    /// frame on the SINR channel. Empty on the binary channel.
+    /// frame. Empty unless capture is on (see
+    /// [`NodeStats::mean_sinr_db`]).
     pub fn sinr_by_depth(&self) -> Vec<(usize, f64, usize)> {
         let deepest = self.per_node.iter().map(|s| s.depth).max().unwrap_or(0);
         (0..=deepest)

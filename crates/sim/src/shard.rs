@@ -35,6 +35,7 @@ use crate::engine::{advance, finish_shard, peek_wake, ShardState, Shared};
 use crate::events::AirBatch;
 use crate::queue::{EventQueue, OrderKey};
 use edmac_net::{NodeId, Point2};
+use edmac_phy::LinkField;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -55,7 +56,7 @@ impl ShardPlan {
     /// position: nodes sorted on `(x, y, id)` and chunked, so each
     /// shard is a vertical slab of the deployment and cross-shard
     /// edges are confined to slab borders.
-    pub(crate) fn new(positions: &[Point2], neighbors: &[Vec<NodeId>], k: usize) -> ShardPlan {
+    pub(crate) fn new(positions: &[Point2], field: &LinkField, k: usize) -> ShardPlan {
         let n = positions.len();
         let k = k.clamp(1, n.max(1));
         let mut order: Vec<usize> = (0..n).collect();
@@ -97,7 +98,7 @@ impl ShardPlan {
         for (s, group) in members.iter().enumerate() {
             let mut facing: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for (l, &u) in group.iter().enumerate() {
-                for &v in &neighbors[u.index()] {
+                for &(v, _) in field.receivers(u) {
                     let t = shard_of[v.index()];
                     if t != s as u32 {
                         let locals = facing.entry(t).or_default();
@@ -410,6 +411,7 @@ pub(crate) fn run_parallel(shared: &Shared, shards: Vec<ShardState>) -> Vec<Shar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edmac_phy::{ChannelModel, UnitDisk};
 
     #[test]
     fn plan_partitions_every_node_exactly_once() {
@@ -419,16 +421,9 @@ mod tests {
                 y: 0.0,
             })
             .collect();
-        let neighbors: Vec<Vec<NodeId>> = (0..10)
-            .map(|i: i64| {
-                [i - 1, i + 1]
-                    .iter()
-                    .filter(|&&j| (0..10).contains(&j))
-                    .map(|&j| NodeId::new(j as usize))
-                    .collect()
-            })
-            .collect();
-        let plan = ShardPlan::new(&positions, &neighbors, 3);
+        // Unit spacing: each node hears exactly its two line neighbors.
+        let field = UnitDisk.realize(&positions, 0);
+        let plan = ShardPlan::new(&positions, &field, 3);
         assert_eq!(plan.shard_count(), 3);
         let mut seen = [false; 10];
         for s in 0..3 {
@@ -456,8 +451,8 @@ mod tests {
     #[test]
     fn plan_clamps_shard_count() {
         let positions = vec![Point2 { x: 0.0, y: 0.0 }, Point2 { x: 1.0, y: 0.0 }];
-        let neighbors = vec![vec![NodeId::new(1)], vec![NodeId::new(0)]];
-        let plan = ShardPlan::new(&positions, &neighbors, 64);
+        let field = UnitDisk.realize(&positions, 0);
+        let plan = ShardPlan::new(&positions, &field, 64);
         assert_eq!(plan.shard_count(), 2);
     }
 }

@@ -1,22 +1,20 @@
 //! The degenerate-channel contract: building a simulation over
-//! [`SinrChannel::degenerate`], which drives the engine's *SINR* code
-//! path with σ = 0, capture off, and the interference floor raised to
-//! the sensitivity threshold, must reproduce the binary engine's
-//! [`UnitDisk`] run **bit for bit**, across the same wake-mode and
-//! shard matrices `wake_equivalence.rs` and `shard_equivalence.rs` pin.
-//!
-//! One diagnostic is deliberately outside the contract:
-//! `NodeStats::mean_sinr_db` is `None` on the binary channel and
-//! populated on the SINR path (the degenerate run *measures* the SINR
-//! it never acts on). Everything the existing goldens look at —
-//! counters, energies, busy times, packet records — must be identical.
+//! [`SinrChannel::degenerate`] — path-loss powers with σ = 0, capture
+//! off, and the interference floor raised to the sensitivity threshold
+//! — must reproduce the [`UnitDisk`] run **bit for bit**
+//! (`common::assert_identical`, the SINR diagnostic included: with
+//! capture off no decode carries a SINR sample), across wake modes and
+//! shard counts.
 
+mod common;
+
+use common::{assert_identical, build};
 use edmac_net::{NetError, RoutingTree, Topology};
 use edmac_phy::{ChannelModel, SinrChannel, UnitDisk};
-use edmac_radio::{Cause, FrameSizes, Radio};
+use edmac_radio::{FrameSizes, Radio};
 use edmac_sim::{
-    CoexNetwork, DmacSim, LmacSim, MacNode, ScpSim, SimConfig, SimProtocol, SimReport, Simulation,
-    WakeMode, XmacSim,
+    CoexNetwork, DmacSim, LmacSim, MacNode, ScpSim, SimConfig, SimProtocol, Simulation, WakeMode,
+    XmacSim,
 };
 use edmac_units::Seconds;
 use proptest::prelude::*;
@@ -45,60 +43,7 @@ fn protocols() -> [Box<dyn SimProtocol>; 4] {
     ]
 }
 
-/// Bitwise equality of everything the binary engine reports; the SINR
-/// diagnostic (`mean_sinr_db`) is checked by the caller, not here.
-fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
-    assert_eq!(a.per_node().len(), b.per_node().len(), "{label}: nodes");
-    for (sa, sb) in a.per_node().iter().zip(b.per_node()) {
-        assert_eq!(sa.node, sb.node, "{label}");
-        assert_eq!(sa.depth, sb.depth, "{label}: node {}", sa.node);
-        assert_eq!(sa.counters, sb.counters, "{label}: node {}", sa.node);
-        assert_eq!(
-            sa.busy.value().to_bits(),
-            sb.busy.value().to_bits(),
-            "{label}: node {} busy",
-            sa.node
-        );
-        for cause in Cause::ALL {
-            assert_eq!(
-                sa.breakdown.get(cause).value().to_bits(),
-                sb.breakdown.get(cause).value().to_bits(),
-                "{label}: node {} {cause} energy",
-                sa.node
-            );
-        }
-    }
-    assert_eq!(a.records().len(), b.records().len(), "{label}: records");
-    for (ra, rb) in a.records().iter().zip(b.records()) {
-        assert_eq!(ra, rb, "{label}: packet record");
-    }
-}
-
-/// Builds one network over `channel` and runs it on `shards` shards.
-fn run(
-    topo: &Topology,
-    protocol: &dyn SimProtocol,
-    cfg: SimConfig,
-    channel: &dyn ChannelModel,
-    shards: usize,
-) -> SimReport {
-    let network = CoexNetwork {
-        topology: topo,
-        protocol,
-    };
-    Simulation::new(
-        &[network],
-        channel,
-        Radio::cc2420(),
-        FrameSizes::default(),
-        cfg,
-    )
-    .expect("buildable")
-    .with_shards(shards)
-    .run()
-}
-
-/// Runs the unit-disk reference and the degenerate SINR build over one
+/// Runs the unit-disk reference and the degenerate build over one
 /// topology × protocol × mode × shard-count cell.
 fn assert_degenerate_cell(
     topo: &Topology,
@@ -107,37 +52,23 @@ fn assert_degenerate_cell(
     shards: usize,
     label: &str,
 ) {
-    let reference = run(topo, protocol, cfg, &UnitDisk, shards);
-    // UnitDisk keeps the binary engine: the SINR diagnostic stays off.
+    let run = |channel: &dyn ChannelModel| {
+        build(topo, protocol, channel, cfg)
+            .with_shards(shards)
+            .run()
+    };
+    let reference = run(&UnitDisk);
+    // Capture off: no decode carries a SINR sample.
     assert!(reference
         .per_node()
         .iter()
         .all(|s| s.mean_sinr_db.is_none()));
-    let degenerate = run(topo, protocol, cfg, &SinrChannel::degenerate(), shards);
+    let degenerate = run(&SinrChannel::degenerate());
     assert_identical(&degenerate, &reference, &format!("{label} degenerate"));
-    // The degenerate run rides the SINR path: event-path decodes carry
-    // a (finite) SINR sample. Coarse-mode replay elisions (LMAC's
-    // control sections) decode outside the event loop and contribute no
-    // sample, so the claim is existential per report, universal per
-    // value — and the capture/below-noise counters stayed at zero
-    // (checked bitwise above via counters).
-    let mut measured = 0usize;
-    let mut decoded = 0u64;
-    for s in degenerate.per_node() {
-        decoded += s.counters.rx_total();
-        if let Some(db) = s.mean_sinr_db {
-            assert!(db.is_finite(), "{label}: node {} SINR {db}", s.node);
-            measured += 1;
-        }
-    }
-    assert!(
-        decoded == 0 || measured > 0,
-        "{label}: {decoded} decodes but no SINR samples — SINR path not live"
-    );
 }
 
 #[test]
-fn degenerate_channel_matches_binary_on_ring_matrix() {
+fn degenerate_channel_matches_unit_disk_on_ring_matrix() {
     for protocol in &protocols() {
         let mut rng = StdRng::seed_from_u64(7);
         let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
@@ -156,7 +87,7 @@ fn degenerate_channel_matches_binary_on_ring_matrix() {
 }
 
 #[test]
-fn degenerate_channel_matches_binary_on_disks() {
+fn degenerate_channel_matches_unit_disk_on_disks() {
     let mut rng = StdRng::seed_from_u64(33);
     let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
     for protocol in &protocols() {
@@ -176,7 +107,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random disk topologies and seeds: the degenerate channel must
-    /// track the binary engine bit-for-bit wherever both build.
+    /// track the unit disk bit-for-bit wherever both build.
     #[test]
     fn degenerate_equivalence_holds_on_random_disks(
         topo_seed in 0u64..1_000,
@@ -201,10 +132,8 @@ proptest! {
     }
 }
 
-/// Scripted-node SINR semantics are in `engine_sinr.rs`; here we pin
-/// one structural consequence of the degenerate configuration that the
-/// bitwise matrix cannot see: the SINR build *is* running the SINR
-/// bookkeeping (not silently falling back to binary).
+/// A protocol of idle nodes, for builds that only test the decode
+/// graph.
 #[derive(Debug)]
 struct OneShot;
 
@@ -261,9 +190,9 @@ fn degenerate_build_rejects_out_of_range_links_exactly_at_the_disk_radius() {
                 config(1, WakeMode::Coarse),
             )
         };
-        let binary = build(&UnitDisk);
-        let sinr = build(&SinrChannel::degenerate());
-        assert_eq!(binary.is_ok(), expect_ok, "binary at d={d}");
-        assert_eq!(sinr.is_ok(), expect_ok, "degenerate sinr at d={d}");
+        let disk = build(&UnitDisk);
+        let degenerate = build(&SinrChannel::degenerate());
+        assert_eq!(disk.is_ok(), expect_ok, "unit disk at d={d}");
+        assert_eq!(degenerate.is_ok(), expect_ok, "degenerate at d={d}");
     }
 }

@@ -1,17 +1,73 @@
-//! Scripted nodes shared by the engine-level channel tests, and the
-//! [`SimProtocol`] adapter that runs them through [`Simulation::new`].
+//! Scripted nodes shared by the engine-level channel tests, the
+//! [`SimProtocol`] adapter that runs them through [`Simulation::new`],
+//! and the one report comparison the equivalence suites share.
+
+// Each test crate includes this module and uses a different subset.
+#![allow(dead_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use edmac_net::{Graph, NetError, NodeId, RoutingTree, Topology};
-use edmac_phy::ChannelModel;
+use edmac_phy::{ChannelModel, SinrChannel, UnitDisk};
 use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    CoexNetwork, Ctx, Frame, FrameKind, MacNode, Packet, SimConfig, SimProtocol, Simulation,
-    WakeMode,
+    CoexNetwork, Ctx, Frame, FrameKind, MacNode, Packet, SimConfig, SimProtocol, SimReport,
+    Simulation, WakeMode,
 };
 use edmac_units::Seconds;
+
+/// Asserts that two reports agree on everything they expose, bit for
+/// bit: protocol, configuration, every per-node field (each f64 by its
+/// bits, `mean_sinr_db` included) and every packet record. The one
+/// exception is the wake mode in the configuration, which records the
+/// mode that ran and so differs legitimately between a coarse and a
+/// dense run of one scenario.
+pub fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
+    assert_eq!(a.protocol(), b.protocol(), "{label}: protocol");
+    let config = SimConfig {
+        scheduling: b.config().scheduling,
+        ..a.config()
+    };
+    assert_eq!(config, b.config(), "{label}: config");
+    assert_eq!(
+        a.per_node().len(),
+        b.per_node().len(),
+        "{label}: node count"
+    );
+    for (sa, sb) in a.per_node().iter().zip(b.per_node()) {
+        let node = sa.node;
+        assert_eq!(node, sb.node, "{label}");
+        assert_eq!(sa.depth, sb.depth, "{label}: node {node} depth");
+        assert_eq!(sa.counters, sb.counters, "{label}: node {node}");
+        assert_eq!(
+            sa.busy.value().to_bits(),
+            sb.busy.value().to_bits(),
+            "{label}: node {node} busy {} vs {}",
+            sa.busy,
+            sb.busy
+        );
+        for cause in Cause::ALL {
+            let (ea, eb) = (sa.breakdown.get(cause), sb.breakdown.get(cause));
+            assert_eq!(
+                ea.value().to_bits(),
+                eb.value().to_bits(),
+                "{label}: node {node} {cause} energy {ea} vs {eb}"
+            );
+        }
+        assert_eq!(
+            sa.mean_sinr_db.map(f64::to_bits),
+            sb.mean_sinr_db.map(f64::to_bits),
+            "{label}: node {node} mean SINR {:?} vs {:?}",
+            sa.mean_sinr_db,
+            sb.mean_sinr_db
+        );
+    }
+    assert_eq!(a.records().len(), b.records().len(), "{label}: records");
+    for (ra, rb) in a.records().iter().zip(b.records()) {
+        assert_eq!(ra, rb, "{label}: packet record");
+    }
+}
 
 /// A node that wakes shortly before `tx_at` and transmits one data
 /// frame to `dst` at exactly that time; otherwise it sleeps.
@@ -145,16 +201,34 @@ pub fn scripted(
         label: "scripted",
         make: Box::new(make),
     };
+    build(topo, &protocol, channel, quiet_config())
+}
+
+/// One network of `protocol` over `topo` on `channel`, with the CC2420
+/// radio and default frames.
+pub fn build(
+    topo: &Topology,
+    protocol: &dyn SimProtocol,
+    channel: &dyn ChannelModel,
+    cfg: SimConfig,
+) -> Simulation {
     let network = CoexNetwork {
         topology: topo,
-        protocol: &protocol,
+        protocol,
     };
     Simulation::new(
         &[network],
         channel,
         Radio::cc2420(),
         FrameSizes::default(),
-        quiet_config(),
+        cfg,
     )
-    .unwrap()
+    .expect("buildable network")
+}
+
+/// The channels the single-network equivalence matrices run on: the
+/// unit disk, and the degenerate SINR field that realizes the same
+/// links over path-loss powers.
+pub fn channels() -> [Box<dyn ChannelModel>; 2] {
+    [Box::new(UnitDisk), Box::new(SinrChannel::degenerate())]
 }

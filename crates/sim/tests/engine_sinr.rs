@@ -14,7 +14,7 @@ mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use common::{quiet_config, scripted, Listener, Mute, ScriptedNet, Talker};
+use common::{assert_identical, quiet_config, scripted, Listener, Mute, ScriptedNet, Talker};
 use edmac_net::{NodeId, Point2, Topology};
 use edmac_phy::{SinrChannel, UnitDisk};
 use edmac_radio::{FrameSizes, Radio};
@@ -343,12 +343,8 @@ fn nearby_networks_interfere_where_far_ones_do_not() {
 fn coexistence_reports_are_shard_invariant() {
     let sequential = line_coex_reports(0.5, 1);
     let sharded = line_coex_reports(0.5, 2);
-    for (a, b) in sequential.iter().zip(&sharded) {
-        assert_eq!(fingerprint(a), fingerprint(b));
-        assert_eq!(a.records().len(), b.records().len());
-        for (ra, rb) in a.records().iter().zip(b.records()) {
-            assert_eq!(ra, rb);
-        }
+    for (k, (a, b)) in sequential.iter().zip(&sharded).enumerate() {
+        assert_identical(a, b, &format!("network {k}"));
     }
 }
 
@@ -399,18 +395,8 @@ fn coexistence_over_a_shadowed_sinr_channel_is_shard_invariant() {
         break;
     }
     let (sequential, sharded) = reports.expect("some seed within 32 must connect both networks");
-    for (a, b) in sequential.iter().zip(&sharded) {
-        assert_eq!(fingerprint(a), fingerprint(b));
-        for (sa, sb) in a.per_node().iter().zip(b.per_node()) {
-            match (sa.mean_sinr_db, sb.mean_sinr_db) {
-                (Some(x), Some(y)) => assert_eq!(x.to_bits(), y.to_bits()),
-                (None, None) => {}
-                _ => panic!("SINR diagnostic differs across shard counts"),
-            }
-        }
-        for (ra, rb) in a.records().iter().zip(b.records()) {
-            assert_eq!(ra, rb);
-        }
+    for (k, (a, b)) in sequential.iter().zip(&sharded).enumerate() {
+        assert_identical(a, b, &format!("shadowed network {k}"));
     }
     // The diagnostic accessors stay coherent on a shadowed run.
     for report in &sequential {

@@ -4,9 +4,10 @@
 //! run must produce a [`SimReport`] *bit-identical* to the sequential
 //! run of the same configuration.
 //!
-//! "Bit-identical" is meant literally, as in `wake_equivalence.rs`:
-//! every f64 in every per-node energy breakdown, every busy time,
-//! every frame counter and every packet record timestamp. Sharding is
+//! "Bit-identical" is meant literally, as in `wake_equivalence.rs`
+//! (`common::assert_identical`): every f64 in every per-node energy
+//! breakdown, every busy time, every frame counter, the SINR diagnostic
+//! and every packet record timestamp. Sharding is
 //! an execution strategy for the event loop, not a change to the
 //! simulated physics — the cross-shard merge rule (events executed in
 //! `(time, round, node, seq)` order exactly as the sequential engine
@@ -23,18 +24,21 @@
 //!
 //! The matrix: {Dense, Coarse} wake modes × {1, 2, 4, 7} shards ×
 //! the paper trio (X-MAC, DMAC, LMAC) + SCP + always-on CSMA ×
-//! {ring, uniform disk, hotspot disk} topologies. Shard count 1 runs
+//! {ring, uniform disk, hotspot disk} topologies, the ring and uniform
+//! disk on both [`UnitDisk`] and [`SinrChannel::degenerate`]. Shard count 1 runs
 //! the sequential loop through the shard plan; 7 shards on the small
 //! disks forces shards with interior-free boundaries (every node on a
 //! frontier), the worst case for the lookahead bounds.
 
+mod common;
+
+use common::{assert_identical, build, channels};
 use edmac_net::Topology;
 use edmac_phy::UnitDisk;
 use edmac_proto::CsmaSim;
-use edmac_radio::{Cause, FrameSizes, Radio};
 use edmac_sim::{
-    BurstWindows, CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport,
-    Simulation, TrafficProfile, WakeMode, XmacSim,
+    BurstWindows, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, Simulation, TrafficProfile,
+    WakeMode, XmacSim,
 };
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -70,52 +74,10 @@ fn protocols() -> [Box<dyn SimProtocol>; 5] {
     ]
 }
 
-/// Asserts bitwise equality of two reports, field by field.
-fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
-    assert_eq!(a.protocol(), b.protocol(), "{label}: protocol");
-    assert_eq!(
-        a.per_node().len(),
-        b.per_node().len(),
-        "{label}: node count"
-    );
-    for (sa, sb) in a.per_node().iter().zip(b.per_node()) {
-        assert_eq!(sa.node, sb.node, "{label}");
-        assert_eq!(sa.depth, sb.depth, "{label}: node {}", sa.node);
-        assert_eq!(sa.counters, sb.counters, "{label}: node {}", sa.node);
-        assert_eq!(
-            sa.busy.value().to_bits(),
-            sb.busy.value().to_bits(),
-            "{label}: node {} busy {} vs {}",
-            sa.node,
-            sa.busy,
-            sb.busy
-        );
-        for cause in Cause::ALL {
-            assert_eq!(
-                sa.breakdown.get(cause).value().to_bits(),
-                sb.breakdown.get(cause).value().to_bits(),
-                "{label}: node {} {cause} energy {} vs {}",
-                sa.node,
-                sa.breakdown.get(cause),
-                sb.breakdown.get(cause)
-            );
-        }
-    }
-    assert_eq!(a.records().len(), b.records().len(), "{label}: records");
-    for (ra, rb) in a.records().iter().zip(b.records()) {
-        assert_eq!(ra, rb, "{label}: packet record");
-    }
-}
-
 /// Runs one protocol × topology cell across the given wake modes and
 /// every shard count, comparing each against the same-mode sequential
 /// run.
-fn assert_cell(
-    build: &dyn Fn(WakeMode) -> Simulation,
-    modes: &[WakeMode],
-    protocol_name: &str,
-    topo: &str,
-) {
+fn assert_cell(build: &dyn Fn(WakeMode) -> Simulation, modes: &[WakeMode], label: &str) {
     for &mode in modes {
         let reference = build(mode).run();
         for shards in SHARD_COUNTS {
@@ -123,46 +85,41 @@ fn assert_cell(
             assert_identical(
                 &sharded,
                 &reference,
-                &format!("{protocol_name} {topo} {mode:?} shards={shards}"),
+                &format!("{label} {mode:?} shards={shards}"),
             );
+        }
+    }
+}
+
+/// Every protocol on every channel over `topo`, run under `seed`.
+fn channel_matrix(topo: &Topology, seed: u64, modes: &[WakeMode], label: &str) {
+    for protocol in &protocols() {
+        for channel in &channels() {
+            let make = |mode| {
+                build(
+                    topo,
+                    protocol.as_ref(),
+                    channel.as_ref(),
+                    config(seed, mode),
+                )
+            };
+            let label = format!("{} {label} on {}", protocol.name(), channel.name());
+            assert_cell(&make, modes, &label);
         }
     }
 }
 
 #[test]
 fn sharded_matches_sequential_on_rings() {
-    for protocol in &protocols() {
-        let build = |mode| {
-            Simulation::ring(3, 4, protocol.as_ref(), config(7, mode)).expect("buildable ring")
-        };
-        assert_cell(
-            &build,
-            &[WakeMode::Coarse, WakeMode::Dense],
-            protocol.name(),
-            "ring",
-        );
-    }
+    let mut rng = StdRng::seed_from_u64(7);
+    let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
+    channel_matrix(&topo, 7, &[WakeMode::Coarse, WakeMode::Dense], "ring");
 }
 
 fn disk_matrix(modes: &[WakeMode]) {
     let mut rng = StdRng::seed_from_u64(33);
     let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
-    for protocol in &protocols() {
-        let build = |mode| {
-            Simulation::new(
-                &[CoexNetwork {
-                    topology: &topo,
-                    protocol: protocol.as_ref(),
-                }],
-                &UnitDisk,
-                Radio::cc2420(),
-                FrameSizes::default(),
-                config(11, mode),
-            )
-            .expect("buildable disk")
-        };
-        assert_cell(&build, modes, protocol.name(), "disk");
-    }
+    channel_matrix(&topo, 11, modes, "disk");
 }
 
 #[test]
@@ -187,22 +144,12 @@ fn hotspot_matrix(modes: &[WakeMode]) {
         traffic.periods[i] = Seconds::new(5.0);
     }
     for protocol in &protocols() {
-        let build = |mode| {
-            Simulation::new(
-                &[CoexNetwork {
-                    topology: &topo,
-                    protocol: protocol.as_ref(),
-                }],
-                &UnitDisk,
-                Radio::cc2420(),
-                FrameSizes::default(),
-                config(23, mode),
-            )
-            .expect("buildable disk")
-            .with_traffic(traffic.clone())
-            .expect("valid profile")
+        let make = |mode| {
+            build(&topo, protocol.as_ref(), &UnitDisk, config(23, mode))
+                .with_traffic(traffic.clone())
+                .expect("valid profile")
         };
-        assert_cell(&build, modes, protocol.name(), "hotspot");
+        assert_cell(&make, modes, &format!("{} hotspot", protocol.name()));
     }
 }
 

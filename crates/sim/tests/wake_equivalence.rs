@@ -4,15 +4,20 @@
 //! reference schedule that wakes every node at every protocol tick,
 //! like the pre-coarsening engine did).
 //!
-//! "Bit-identical" is meant literally: every f64 in every per-node
-//! energy breakdown, every busy time, every frame counter and every
-//! packet record timestamp. The coarse scheduler is an optimization of
-//! the event loop, not of the simulated physics — any drift here is a
-//! bug in the skip/replay logic, not a tolerance question.
+//! "Bit-identical" is meant literally (`common::assert_identical`):
+//! every f64 in every per-node energy breakdown, every busy time, every
+//! frame counter, the SINR diagnostic and every packet record
+//! timestamp. The coarse scheduler is an optimization of the event
+//! loop, not of the simulated physics — any drift here is a bug in the
+//! skip/replay logic, not a tolerance question. The ring, disk and line
+//! matrices run on [`UnitDisk`] and on [`SinrChannel::degenerate`].
 
+mod common;
+
+use common::{assert_identical, build, channels};
 use edmac_net::Topology;
-use edmac_phy::{ChannelModel, SinrChannel, UnitDisk};
-use edmac_radio::{Cause, FrameSizes, Radio};
+use edmac_phy::{SinrChannel, UnitDisk};
+use edmac_radio::{FrameSizes, Radio};
 use edmac_sim::{
     BurstWindows, CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport,
     Simulation, TrafficProfile, WakeMode, XmacSim,
@@ -40,58 +45,34 @@ fn protocols() -> [Box<dyn SimProtocol>; 4] {
     ]
 }
 
-/// Asserts bitwise equality of two reports, field by field.
-fn assert_identical(a: &SimReport, b: &SimReport, label: &str) {
-    assert_eq!(a.protocol(), b.protocol(), "{label}: protocol");
-    assert_eq!(
-        a.per_node().len(),
-        b.per_node().len(),
-        "{label}: node count"
-    );
-    for (sa, sb) in a.per_node().iter().zip(b.per_node()) {
-        assert_eq!(sa.node, sb.node, "{label}");
-        assert_eq!(sa.depth, sb.depth, "{label}: node {}", sa.node);
-        assert_eq!(sa.counters, sb.counters, "{label}: node {}", sa.node);
-        assert_eq!(
-            sa.busy.value().to_bits(),
-            sb.busy.value().to_bits(),
-            "{label}: node {} busy {} vs {}",
-            sa.node,
-            sa.busy,
-            sb.busy
-        );
-        for cause in Cause::ALL {
-            assert_eq!(
-                sa.breakdown.get(cause).value().to_bits(),
-                sb.breakdown.get(cause).value().to_bits(),
-                "{label}: node {} {cause} energy {} vs {}",
-                sa.node,
-                sa.breakdown.get(cause),
-                sb.breakdown.get(cause)
+/// Coarse against dense for every protocol and channel on `topo`.
+fn assert_coarse_equals_dense(topo: &Topology, seed: u64, label: &str) {
+    for protocol in &protocols() {
+        for channel in &channels() {
+            let run = |mode| {
+                build(
+                    topo,
+                    protocol.as_ref(),
+                    channel.as_ref(),
+                    config(seed, mode),
+                )
+                .run()
+            };
+            assert_identical(
+                &run(WakeMode::Coarse),
+                &run(WakeMode::Dense),
+                &format!("{} {label} on {}", protocol.name(), channel.name()),
             );
         }
-    }
-    assert_eq!(a.records().len(), b.records().len(), "{label}: records");
-    for (ra, rb) in a.records().iter().zip(b.records()) {
-        assert_eq!(ra, rb, "{label}: packet record");
     }
 }
 
 #[test]
 fn coarse_equals_dense_on_rings() {
-    for protocol in &protocols() {
-        for seed in [7, 42] {
-            let run = |mode| {
-                Simulation::ring(4, 4, protocol.as_ref(), config(seed, mode))
-                    .expect("buildable ring")
-                    .run()
-            };
-            assert_identical(
-                &run(WakeMode::Coarse),
-                &run(WakeMode::Dense),
-                &format!("{} ring seed {seed}", protocol.name()),
-            );
-        }
+    for seed in [7, 42] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = Topology::ring_model(4, 4, &mut rng).expect("buildable ring");
+        assert_coarse_equals_dense(&topo, seed, &format!("ring seed {seed}"));
     }
 }
 
@@ -99,27 +80,7 @@ fn coarse_equals_dense_on_rings() {
 fn coarse_equals_dense_on_uniform_disks() {
     let mut rng = StdRng::seed_from_u64(191);
     let topo = Topology::uniform_disk(60, 2.5, &mut rng).expect("connected disk");
-    for protocol in &protocols() {
-        let run = |mode| {
-            Simulation::new(
-                &[CoexNetwork {
-                    topology: &topo,
-                    protocol: protocol.as_ref(),
-                }],
-                &UnitDisk,
-                Radio::cc2420(),
-                FrameSizes::default(),
-                config(11, mode),
-            )
-            .expect("buildable disk")
-            .run()
-        };
-        assert_identical(
-            &run(WakeMode::Coarse),
-            &run(WakeMode::Dense),
-            &format!("{} disk", protocol.name()),
-        );
-    }
+    assert_coarse_equals_dense(&topo, 11, "disk");
 }
 
 #[test]
@@ -128,27 +89,7 @@ fn coarse_equals_dense_on_lines() {
     // and give every interior node exactly two neighbors, so LMAC's
     // silent-slot skipping is at its most aggressive here.
     let topo = Topology::line(7, 0.9).expect("chain");
-    for protocol in &protocols() {
-        let run = |mode| {
-            Simulation::new(
-                &[CoexNetwork {
-                    topology: &topo,
-                    protocol: protocol.as_ref(),
-                }],
-                &UnitDisk,
-                Radio::cc2420(),
-                FrameSizes::default(),
-                config(5, mode),
-            )
-            .expect("buildable line")
-            .run()
-        };
-        assert_identical(
-            &run(WakeMode::Coarse),
-            &run(WakeMode::Dense),
-            &format!("{} line", protocol.name()),
-        );
-    }
+    assert_coarse_equals_dense(&topo, 5, "line");
 }
 
 #[test]
@@ -170,17 +111,12 @@ fn same_seed_reproduces_byte_identical_reports() {
             &format!("{} ring determinism", protocol.name()),
         );
         let disk_run = || {
-            Simulation::new(
-                &[CoexNetwork {
-                    topology: &disk,
-                    protocol: protocol.as_ref(),
-                }],
+            build(
+                &disk,
+                protocol.as_ref(),
                 &UnitDisk,
-                Radio::cc2420(),
-                FrameSizes::default(),
                 config(23, WakeMode::Coarse),
             )
-            .expect("buildable disk")
             .run()
         };
         assert_identical(
@@ -311,19 +247,7 @@ fn lmac_ring_on_sinr(seed: u64, mode: WakeMode) -> SimReport {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let ring = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
-    let network = CoexNetwork {
-        topology: &ring,
-        protocol: &lmac,
-    };
-    Simulation::new(
-        &[network],
-        &channel,
-        Radio::cc2420(),
-        FrameSizes::default(),
-        short_config(seed, mode),
-    )
-    .expect("buildable ring")
-    .run()
+    build(&ring, &lmac, &channel, short_config(seed, mode)).run()
 }
 
 #[test]
@@ -351,20 +275,16 @@ fn coarse_runs_where_the_schedule_covers_every_air_link() {
     let lmac = LmacSim::new(Seconds::from_millis(10.0));
     let mut rng = StdRng::seed_from_u64(7);
     let ring = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
-    for channel in [&UnitDisk as &dyn ChannelModel, &SinrChannel::degenerate()] {
-        let network = CoexNetwork {
-            topology: &ring,
-            protocol: &lmac,
-        };
-        let report = Simulation::new(
-            &[network],
-            channel,
-            Radio::cc2420(),
-            FrameSizes::default(),
-            config(7, WakeMode::Coarse),
-        )
-        .expect("buildable ring")
-        .run();
+    for channel in &channels() {
+        let report = build(&ring, &lmac, channel.as_ref(), config(7, WakeMode::Coarse)).run();
         assert_eq!(report.config().scheduling, WakeMode::Coarse, "{channel:?}");
     }
+    // The same links with capture on: a decode reads the interference a
+    // replayed wake would have added, so the schedule proves nothing.
+    let capture = SinrChannel {
+        capture_db: Some(6.0),
+        ..SinrChannel::degenerate()
+    };
+    let report = build(&ring, &lmac, &capture, config(7, WakeMode::Coarse)).run();
+    assert_eq!(report.config().scheduling, WakeMode::Dense, "capture on");
 }
