@@ -39,10 +39,11 @@ grep -F '"schema": "edmac-study/summary/v2"' ci/golden/study_summary.json
 
 echo "== full grid validation -> ci/golden/full/"
 # The full grid's 27 validation simulations (600 s each) are the
-# packet-level work the smoke grid is too small to cover; its
-# validation table and summary are pinned, the cells are not.
+# packet-level work the smoke grid is too small to cover; its cells,
+# validation table and summary are all pinned.
 cargo run --release --bin study -- --out ci/golden/full
-rm -f ci/golden/full/manifest.json ci/golden/full/study_cells.csv
+rm -f ci/golden/full/manifest.json
+head -1 ci/golden/full/study_cells.csv | grep -F "edmac-study/cells/v2"
 head -1 ci/golden/full/study_validation.csv | grep -F "edmac-study/validation/v2"
 
 echo "== coexistence smoke -> ci/golden/"

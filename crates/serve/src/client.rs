@@ -1,8 +1,8 @@
 //! The scripting/CI client: one TCP connection, line-delimited JSON
 //! request/response pairs. `study query` is a thin shell over this.
 
-use crate::request::{Request, Response};
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use crate::request::{write_line, Request, Response};
+use std::io::{self, BufRead as _, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -37,8 +37,7 @@ impl Client {
     ///
     /// Fails on transport errors or a server that closed mid-exchange.
     pub fn exchange_line(&mut self, line: &str) -> io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -19,9 +19,21 @@ use edmac_core::{
 };
 use edmac_study::json::{jstr, Json};
 use edmac_units::{Joules, Seconds};
+use std::io::{self, Write};
 
 /// Schema tag of one request/response line.
 pub const WIRE_SCHEMA: &str = "edmac-serve/wire/v1";
+
+/// Sends one wire line, newline included, in a single `write_all`.
+/// `writeln!` on a bare `TcpStream` writes the text and the newline
+/// separately; with `TCP_NODELAY` that is two segments, and the peer's
+/// line read may wake once for each.
+pub(crate) fn write_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    out.write_all(framed.as_bytes())
+}
 
 /// A parsed request line: either a solve query or a stats probe.
 #[derive(Debug, Clone, PartialEq)]
@@ -485,6 +497,25 @@ mod tests {
     }
 
     #[test]
+    fn a_wire_line_is_one_write() {
+        /// Records each `write` call's bytes.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let line = Request::Solve(sample_solve()).render();
+        let mut out = Writes(Vec::new());
+        write_line(&mut out, &line).unwrap();
+        assert_eq!(out.0, vec![format!("{line}\n").into_bytes()]);
+    }
+
+    #[test]
     fn requests_round_trip() {
         for request in [Request::Solve(sample_solve()), Request::Stats] {
             let line = request.render();
@@ -526,6 +557,38 @@ mod tests {
         let line = Request::Stats.render().replace("stats", "destroy");
         assert!(Request::parse(&line).unwrap_err().contains("verb"));
         assert!(Request::parse("not json").is_err());
+    }
+
+    #[test]
+    fn truncated_and_corrupted_lines_never_panic() {
+        let lines = [
+            Request::Solve(sample_solve()).render(),
+            Request::Stats.render(),
+        ];
+        for line in &lines {
+            let bytes = line.as_bytes();
+            for i in 0..bytes.len() {
+                let _ = Request::parse(&String::from_utf8_lossy(&bytes[..i]));
+                for mask in [0x01u8, 0x20, 0x80] {
+                    let mut corrupt = bytes.to_vec();
+                    corrupt[i] ^= mask;
+                    let _ = Request::parse(&String::from_utf8_lossy(&corrupt));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, valid UTF-8 or not, parse to `Ok` or `Err`
+        /// in both directions of the wire: never a panic.
+        #[test]
+        fn arbitrary_lines_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let line = String::from_utf8_lossy(&bytes);
+            let _ = Request::parse(&line);
+            let _ = Response::parse(&line);
+        }
     }
 
     /// The load-bearing equivalence: a request built from any grid

@@ -11,11 +11,11 @@
 use crate::flight::{FlightMap, Joined};
 use crate::hot::HotTier;
 use crate::metrics::Metrics;
-use crate::request::{Request, Response, SolveRequest, Tier};
+use crate::request::{write_line, Request, Response, SolveRequest, Tier};
 use edmac_proto::ProtocolRegistry;
 use edmac_study::{item_key, render_entry, solve_cell, validate_cell, CellCache, SchemaVersions};
 use std::collections::VecDeque;
-use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{self, BufRead as _, BufReader, Read as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -193,7 +193,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                         eprintln!("{}", response.log_line("acceptor"));
                     }
                     let mut stream = stream;
-                    let _ = writeln!(stream, "{}", response.render());
+                    let _ = write_line(&mut stream, &response.render());
                 } else {
                     queue.push_back(stream);
                     drop(queue);
@@ -253,9 +253,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         if shared.log {
             eprintln!("{}", response.log_line(&peer));
         }
-        writeln!(writer, "{}", response.render())
-            .and_then(|()| writer.flush())
-            .is_ok()
+        write_line(&mut writer, &response.render()).is_ok()
     };
     loop {
         // One byte past the cap, so an over-long line shows as such.

@@ -201,6 +201,78 @@ fn malformed_and_unknown_requests_answer_errors_not_hangs() {
 }
 
 #[test]
+fn malformed_line_storm_answers_errors_and_the_connection_keeps_serving() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+
+    let root = temp_root("storm");
+    let server = start(root.join("cache"), 1, 16);
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let config = smoke_config(&root.join("cache"));
+    let valid = Request::Solve(smoke_requests(&config).remove(0)).render();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    const STORM: u64 = 400;
+    for i in 0..STORM {
+        let len = 1 + (next() % 96) as usize;
+        let mut line: Vec<u8> = match i % 5 {
+            // Garbage bytes.
+            0 => (0..len).map(|_| next() as u8).collect(),
+            // Truncated JSON.
+            1 => valid.as_bytes()[..1 + (next() as usize) % (valid.len() - 1)].to_vec(),
+            // An unknown verb.
+            2 => Request::Stats
+                .render()
+                .replace("stats", &format!("verb{i}"))
+                .into_bytes(),
+            // A known verb with its fields missing.
+            3 => valid[..valid.find(",\"preset\"").unwrap()]
+                .bytes()
+                .chain(*b"}")
+                .collect(),
+            // Not UTF-8.
+            _ => (0..len).map(|_| 0x80 | next() as u8).collect(),
+        };
+        // One line each: no embedded terminators, never blank.
+        line.retain(|b| !matches!(b, b'\n' | b'\r'));
+        if line.is_empty() {
+            line.push(b'x');
+        }
+        line.push(b'\n');
+        writer.write_all(&line).unwrap();
+        let mut response = String::new();
+        assert!(
+            reader.read_line(&mut response).unwrap() > 0,
+            "closed at line {i}"
+        );
+        let Response::Error { .. } = Response::parse(response.trim_end()).unwrap() else {
+            panic!("line {i} must answer an error, got {response}");
+        };
+    }
+    writer
+        .write_all(format!("{}\n", Request::Stats.render()).as_bytes())
+        .unwrap();
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let Response::Stats(stats) = Response::parse(response.trim_end()).unwrap() else {
+        panic!("the same connection must still answer stats, got {response}");
+    };
+    assert_eq!(stats.u64_("errors").unwrap(), STORM);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn deeply_nested_line_answers_an_error_and_the_connection_keeps_serving() {
     let root = temp_root("nesting");
     let server = start(root.join("cache"), 1, 16);

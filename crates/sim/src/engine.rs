@@ -11,8 +11,9 @@
 //! # Sharded execution
 //!
 //! The engine is built around a read-only [`Shared`] world plus one or
-//! more [`ShardState`]s, each owning an arena of per-node state, a
-//! calendar-queue event scheduler and a calendar-queue wake schedule.
+//! more [`ShardState`]s, each owning an arena of per-node state, an
+//! event scheduler and a wake schedule (two binary heaps,
+//! [`crate::queue::HeapQueue`]).
 //! A run with one shard *is* the sequential reference engine; a run
 //! with `k` shards (see [`Simulation::with_shards`]) partitions the
 //! topology spatially and executes the shards on worker threads under
@@ -29,7 +30,7 @@ use crate::events::{AirBatch, AirSlab, Event, Transmission};
 use crate::frame::{Frame, FrameKind, Packet, PacketId};
 use crate::protocol::SimProtocol;
 pub use crate::protocols::MacNode;
-use crate::queue::{CalendarQueue, EventQueue, OrderKey};
+use crate::queue::{HeapQueue, OrderKey};
 use crate::report::{NodeStats, PacketRecord, SimReport};
 use crate::time::SimTime;
 use edmac_net::{Graph, NetError, NodeId, Point2, RoutingTree, Topology};
@@ -417,13 +418,13 @@ impl Shared {
 }
 
 /// One shard's complete mutable state: its slice of the node arena,
-/// its event and wake calendars, and its cross-shard outbox.
+/// its event and wake queues, and its cross-shard outbox.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     pub(crate) id: u32,
     pub(crate) now: SimTime,
-    pub(crate) events: CalendarQueue<Event>,
-    pub(crate) wakes: CalendarQueue<()>,
+    pub(crate) events: HeapQueue<Event>,
+    pub(crate) wakes: HeapQueue<()>,
     /// Global ids of this shard's nodes, ascending; `nodes`,
     /// `machines`, `pending` and `boundary` are parallel to it.
     pub(crate) members: Vec<NodeId>,
@@ -1753,8 +1754,8 @@ fn build_shards(
         shards.push(ShardState {
             id: s as u32,
             now: SimTime::ZERO,
-            events: CalendarQueue::new(),
-            wakes: CalendarQueue::new(),
+            events: HeapQueue::new(),
+            wakes: HeapQueue::new(),
             members,
             nodes,
             machines,

@@ -1,7 +1,7 @@
 //! The simulation's event vocabulary.
 //!
 //! Scheduling itself lives in [`crate::queue`]: both the air-event
-//! scheduler and the wake schedule are [`CalendarQueue`]s keyed by
+//! scheduler and the wake schedule are [`HeapQueue`]s keyed by
 //! [`OrderKey`]'s documented `(time, causal round, node order,
 //! sequence)` ordering, so there is exactly one tie-break rule in the
 //! engine.
@@ -11,7 +11,7 @@
 //! [`AirSlab`], and a single `AirStart` and a single `AirEnd` entry name
 //! that record. Dispatch walks the receivers in neighbor order.
 //!
-//! [`CalendarQueue`]: crate::queue::CalendarQueue
+//! [`HeapQueue`]: crate::queue::HeapQueue
 
 use crate::frame::Frame;
 use crate::queue::OrderKey;
@@ -145,6 +145,8 @@ impl std::ops::IndexMut<u32> for AirSlab {
 mod tests {
     use super::*;
     use crate::frame::FrameKind;
+    use crate::queue::Entry;
+    use std::cmp::Reverse;
 
     #[test]
     fn event_node_extraction() {
@@ -159,10 +161,10 @@ mod tests {
 
     #[test]
     fn queue_entries_stay_small() {
-        // Every wake, timer and air batch is one queue entry; a variant
-        // that carries a frame would bloat all of them again.
+        // Every timer and air batch is one heap entry; a variant that
+        // carries a frame would bloat all of them again.
         assert!(std::mem::size_of::<Event>() <= 24);
-        assert!(std::mem::size_of::<(OrderKey, Event)>() <= 48);
+        assert!(std::mem::size_of::<Reverse<Entry<Event>>>() <= 48);
     }
 
     #[test]

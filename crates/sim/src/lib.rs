@@ -75,6 +75,6 @@ pub use engine::{
 };
 pub use frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 pub use protocol::{DmacSim, LmacSim, ScpSim, SimProtocol, XmacSim};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, OrderKey};
+pub use queue::{HeapQueue, OrderKey};
 pub use report::{DepthDelayStats, NodeStats, PacketRecord, SimReport};
 pub use time::SimTime;

@@ -2,7 +2,7 @@
 //!
 //! The topology is cut on the unit-disk graph into `k` contiguous
 //! spatial shards; each shard runs on its own worker thread with its
-//! own calendar queues, and cross-shard air batches (one per
+//! own event and wake queues, and cross-shard air batches (one per
 //! transmission and destination shard) flow through a coordinator
 //! under **wake-derived lookahead bounds** — the null-message-free
 //! conservative scheme the duty cycle makes cheap:
@@ -33,7 +33,7 @@
 
 use crate::engine::{advance, finish_shard, peek_wake, ShardState, Shared};
 use crate::events::AirBatch;
-use crate::queue::{EventQueue, OrderKey};
+use crate::queue::OrderKey;
 use edmac_net::{NodeId, Point2};
 use edmac_phy::LinkField;
 use std::cmp::Reverse;

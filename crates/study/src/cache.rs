@@ -624,7 +624,7 @@ fn parse_entry(
     };
     let fairness_gap = parse_fbits(lines.next()?.strip_prefix("fairness ")?)?;
     let count: usize = lines.next()?.strip_prefix("concepts ")?.parse().ok()?;
-    let mut concepts = Vec::with_capacity(count);
+    let mut concepts = Vec::new();
     for _ in 0..count {
         let line = lines.next()?.strip_prefix("concept ")?;
         let mut f = line.splitn(9, ' ');
@@ -657,7 +657,7 @@ fn parse_entry(
         let best_w = parse_fbits(f.next()?)?;
         let best_distance = parse_fbits(f.next()?)?;
         let n: usize = f.next()?.parse().ok()?;
-        let mut samples = Vec::with_capacity(n);
+        let mut samples = Vec::new();
         for _ in 0..n {
             let (w, d) = f.next()?.split_once(':')?;
             samples.push((parse_fbits(w)?, parse_fbits(d)?));
@@ -834,6 +834,84 @@ mod tests {
         .unwrap();
         assert!(cache.load(&key, &cells[0], suite.name()).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A validated and an infeasible outcome of the first smoke cell,
+    /// rendered under their keys: between them every entry line form.
+    fn sample_entries() -> Vec<(CacheKey, GridCell, &'static str, String)> {
+        let cell = StudyGrid::smoke().cells().remove(0);
+        let suite = ProtocolRegistry::builtin().suite("X-MAC").unwrap();
+        let schema = SchemaVersions::current();
+        let mut solved = crate::solve_cell(&cell, suite.model().as_ref(), reqs());
+        solved.validation =
+            crate::validate_cell(&cell, &solved, suite.as_ref(), Seconds::new(60.0), 1);
+        assert!(solved.validation.is_some() && solved.weight_sweep.is_some());
+        let tight = AppRequirements::new(Joules::new(1e-9), Seconds::new(30.0)).unwrap();
+        let infeasible = crate::solve_cell(&cell, suite.model().as_ref(), tight);
+        [(solved, reqs()), (infeasible, tight)]
+            .into_iter()
+            .map(|(outcome, r)| {
+                let key = item_key(&schema, &cell, suite.as_ref(), r, None);
+                let text = render_entry(&key, &outcome);
+                (key, cell.clone(), suite.name(), text)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn truncated_and_corrupted_entries_never_panic() {
+        for (key, cell, protocol, text) in sample_entries() {
+            assert!(parse_entry(&text, &key, &cell, protocol).is_some());
+            for corrupt in crate::json::corruptions(&text) {
+                let _ = parse_entry(&corrupt, &key, &cell, protocol);
+            }
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_entry_are_misses() {
+        // A count is only a promise about the lines that follow; a
+        // corrupt one must not size an allocation (one too large for
+        // the address space panics, one merely too large for the host
+        // aborts the process).
+        for ((key, cell, protocol, text), huge) in sample_entries()
+            .into_iter()
+            .flat_map(|entry| [(entry.clone(), usize::MAX / 2), (entry, 1 << 40)])
+        {
+            let concepts = text
+                .lines()
+                .find(|l| l.starts_with("concepts "))
+                .unwrap()
+                .to_string();
+            let bad = text.replace(&concepts, &format!("concepts {huge}"));
+            assert!(parse_entry(&bad, &key, &cell, protocol).is_none());
+            if let Some(sweep) = text
+                .lines()
+                .find(|l| l.starts_with("wsweep ") && *l != "wsweep none")
+            {
+                let mut fields: Vec<&str> = sweep.split(' ').collect();
+                let n = huge.to_string();
+                fields[3] = &n;
+                let bad = text.replace(sweep, &fields.join(" "));
+                assert!(parse_entry(&bad, &key, &cell, protocol).is_none());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, alone or after a valid header, are a miss
+        /// or (by chance) an entry: never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let cell = StudyGrid::smoke().cells().remove(0);
+            let key = CacheKey::from_canonical("k".into());
+            let tail = String::from_utf8_lossy(&bytes);
+            let _ = parse_entry(&tail, &key, &cell, "X-MAC");
+            let headed = format!("{CACHE_ENTRY_SCHEMA}\nkey k\nprotocol X-MAC\n{tail}");
+            let _ = parse_entry(&headed, &key, &cell, "X-MAC");
+        }
     }
 
     #[test]

@@ -335,6 +335,7 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers currently open around `pos`.
@@ -344,6 +345,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -475,11 +477,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-borrow the full UTF-8 character.
+                    // Re-borrow the full UTF-8 character from the
+                    // already-validated text; validating the rest of
+                    // the input here would make long strings quadratic.
                     self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-UTF8 string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("string not on a character boundary")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -543,6 +549,24 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Every proper prefix of `valid` and every copy of it with one byte
+/// corrupted (three bit masks per offset: a low bit, the ASCII case
+/// bit, the high bit), as lossy UTF-8: the inputs the parsers'
+/// never-panic tests feed them.
+#[cfg(test)]
+pub(crate) fn corruptions(valid: &str) -> impl Iterator<Item = String> + '_ {
+    let bytes = valid.as_bytes();
+    let truncated = (0..bytes.len()).map(|i| String::from_utf8_lossy(&bytes[..i]).into_owned());
+    let flipped = (0..bytes.len()).flat_map(move |i| {
+        [0x01u8, 0x20, 0x80].into_iter().map(move |mask| {
+            let mut corrupt = bytes.to_vec();
+            corrupt[i] ^= mask;
+            String::from_utf8_lossy(&corrupt).into_owned()
+        })
+    });
+    truncated.chain(flipped)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,6 +607,19 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input per character takes ~25 s
+        // on a 1 MB string (a wire line near the serve's cap) in a
+        // release build; one pass takes milliseconds even unoptimized.
+        let long = "λa".repeat(1 << 18);
+        let line = format!("{{\"s\": \"{long}\"}}");
+        let start = std::time::Instant::now();
+        assert_eq!(Json::parse(&line).unwrap().str_("s").unwrap(), long);
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(5), "{took:?}");
+    }
+
+    #[test]
     fn render_is_a_fixed_point_of_parse() {
         let doc = Json::Obj(vec![
             ("verb".into(), Json::from_str_("solve")),
@@ -600,6 +637,19 @@ mod tests {
         let parsed = Json::parse(&rendered).expect("own output parses");
         assert_eq!(parsed, doc);
         assert_eq!(parsed.render(), rendered, "render∘parse must be identity");
+    }
+
+    #[test]
+    fn corrupted_documents_never_panic() {
+        let doc = Json::Obj(vec![
+            ("s".into(), Json::from_str_("esc \" \\ \n λ \u{1}")),
+            ("n".into(), Json::from_f64(-1.25e-7)),
+            ("a".into(), Json::Arr(vec![Json::Null, Json::Bool(false)])),
+            ("o".into(), Json::Obj(vec![("k".into(), Json::from_u64(7))])),
+        ]);
+        for text in corruptions(&doc.render()) {
+            let _ = Json::parse(&text);
+        }
     }
 
     #[test]
@@ -628,8 +678,37 @@ mod tests {
         })
     }
 
+    /// Bytes drawn mostly from JSON's own alphabet, so generated text
+    /// reaches deep into the parser (strings, escapes, numbers,
+    /// nesting) instead of failing on the first byte; one in eight is
+    /// a raw high byte, which lossy UTF-8 turns into U+FFFD.
+    fn json_ish_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const ALPHABET: &[u8] = b"{}[]\",:-+.eE0123456789 \n\\/utrfalsenb";
+        vec(any::<u8>(), 0..256).prop_map(|bytes| {
+            bytes
+                .into_iter()
+                .map(|b| match b {
+                    0xE0.. => b,
+                    _ => ALPHABET[usize::from(b) % ALPHABET.len()],
+                })
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any input, valid UTF-8 or not, parses to `Ok` or `Err`:
+        /// never a panic.
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..256)) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_json_shaped_bytes(bytes in json_ish_bytes()) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
 
         /// Finite floats round-trip bit-exactly through the shortest
         /// `{:?}` token: to_bits equality, not approximate equality.

@@ -418,6 +418,22 @@ mod tests {
     }
 
     #[test]
+    fn truncated_and_corrupted_manifests_never_panic() {
+        for text in crate::json::corruptions(&sample().render()) {
+            let _ = parse_manifest(&text);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let _ = parse_manifest(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
     fn full_config_defaults_round_trip() {
         let manifest = Manifest {
             config: StudyConfig::full(),
