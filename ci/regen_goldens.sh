@@ -47,9 +47,7 @@ head -1 ci/golden/full/study_cells.csv | grep -F "edmac-study/cells/v2"
 head -1 ci/golden/full/study_validation.csv | grep -F "edmac-study/validation/v2"
 
 echo "== coexistence smoke -> ci/golden/"
-# Two networks (X-MAC, LMAC) on one shared SINR channel; shard count is
-# byte-invariant, so CI may rerun this with --shards 2 and still diff
-# clean.
+# Two networks (X-MAC, LMAC) on one shared SINR channel.
 cargo run --release --bin study -- coexistence --smoke --out ci/golden
 head -1 ci/golden/coexistence_cells.csv | grep -F "edmac-study/coexistence/v1"
 grep -F '"schema": "edmac-study/coexistence/v1"' ci/golden/coexistence_summary.json

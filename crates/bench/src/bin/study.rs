@@ -18,9 +18,6 @@
 //! * `--smoke` — the pinned 12-cell grid CI diffs against goldens;
 //! * `--out DIR` — artifact directory (default `artifacts/`);
 //! * `--jobs N` — worker threads (default: all cores);
-//! * `--shards N` — shard count for each validation simulation
-//!   (default 1 = sequential; any value produces byte-identical
-//!   artifacts — the sharded engine's determinism contract);
 //! * `--validate-every K` — packet-level validation stride (0 = off);
 //! * `--preset NAME` — restrict the grid to one preset family
 //!   (`ring`, `disk`, `hotspot`, `burst`);
@@ -36,7 +33,12 @@
 //! * `--resume MANIFEST` — reload a run's `manifest.json`, verify its
 //!   content keys still match this build, and complete the pending
 //!   items (done items come back as cache hits); only `--jobs`,
-//!   `--shards`, `--out`, and `--max-items` may accompany it.
+//!   `--out`, and `--max-items` may accompany it.
+//!
+//! Every subcommand accepts exactly the flags it documents: anything
+//! else (a misspelt `--validate-evry 0`, a stray word) exits with
+//! status 2 and names the flags that subcommand accepts, instead of
+//! silently running the defaults.
 //!
 //! Subcommand `cache-stats` audits a cache directory against the
 //! configured grid without solving anything: hit/miss counts for the
@@ -60,7 +62,7 @@
 //! response finds an equilibrium, and the artifacts record its price
 //! of anarchy against the joint planner. Flags: `--smoke` (3-scale
 //! strategy space, 9 cells), `--separation X`, `--seed N`,
-//! `--shards N`, `--protocols a,b` (one per network), `--out DIR`.
+//! `--protocols a,b` (one per network), `--out DIR`.
 //!
 //! Subcommand `query` replays the configured grid against a running
 //! server — the scripting/CI client. Grid flags (`--smoke`,
@@ -83,6 +85,99 @@ use edmac_study::{
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// A subcommand of the binary; [`Command::Study`] is the bare
+/// invocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Study,
+    CacheStats,
+    Coexistence,
+    Serve,
+    Query,
+}
+
+/// The flags that take no value; every other flag takes one.
+const SWITCHES: [&str; 4] = ["--smoke", "--json", "--quiet", "--stats"];
+
+/// The flags that select the grid's work items.
+const GRID_FLAGS: [&str; 4] = ["--smoke", "--validate-every", "--preset", "--protocols"];
+
+impl Command {
+    /// Splits a command line (program name excluded) into its
+    /// subcommand and that subcommand's arguments.
+    fn parse(args: &[String]) -> (Command, &[String]) {
+        let command = match args.first().map(String::as_str) {
+            Some("cache-stats") => Command::CacheStats,
+            Some("coexistence") => Command::Coexistence,
+            Some("serve") => Command::Serve,
+            Some("query") => Command::Query,
+            _ => return (Command::Study, args),
+        };
+        (command, &args[1..])
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Command::Study => "study",
+            Command::CacheStats => "study cache-stats",
+            Command::Coexistence => "study coexistence",
+            Command::Serve => "study serve",
+            Command::Query => "study query",
+        }
+    }
+
+    /// Every flag this subcommand reads.
+    fn flags(self) -> Vec<&'static str> {
+        let (grid, own): (bool, &[&str]) = match self {
+            Command::Study => (
+                true,
+                &["--cache-dir", "--out", "--jobs", "--max-items", "--resume"],
+            ),
+            Command::CacheStats => (true, &["--cache-dir", "--json"]),
+            Command::Query => (true, &["--addr", "--addr-file", "--out", "--stats"]),
+            Command::Coexistence => (
+                false,
+                &["--smoke", "--separation", "--seed", "--protocols", "--out"],
+            ),
+            Command::Serve => (
+                false,
+                &[
+                    "--addr",
+                    "--cache-dir",
+                    "--workers",
+                    "--hot-cap",
+                    "--queue-cap",
+                    "--deadline-ms",
+                    "--addr-file",
+                    "--quiet",
+                ],
+            ),
+        };
+        let grid: &[&str] = if grid { &GRID_FLAGS } else { &[] };
+        grid.iter().chain(own).copied().collect()
+    }
+
+    /// Refuses any argument that is not one of this subcommand's flags
+    /// (or the value of one).
+    fn check(self, args: &[String]) -> Result<(), String> {
+        let flags = self.flags();
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if !flags.contains(&arg) {
+                return Err(format!(
+                    "{}: unknown argument '{arg}'; accepted flags: {}",
+                    self.name(),
+                    flags.join(", ")
+                ));
+            }
+            if !SWITCHES.contains(&arg) {
+                rest.next();
+            }
+        }
+        Ok(())
+    }
+}
 
 /// `Ok(None)` when the flag is absent; an error when it is present
 /// without a value (a silently-dropped flag is worse than a refusal).
@@ -127,22 +222,6 @@ fn config_from_flags(args: &[String]) -> Result<StudyConfig, String> {
         .collect();
     config.cache_dir = flag_value(args, "--cache-dir")?.map(PathBuf::from);
     Ok(config)
-}
-
-/// Execution knobs that are legitimate on any invocation, including
-/// `--resume`: both are proven byte-invariant, so they never conflict
-/// with a manifest's pinned config.
-fn apply_execution_flags(args: &[String], config: &mut StudyConfig) -> Result<(), String> {
-    if let Some(jobs) = parse_usize(args, "--jobs")? {
-        config.threads = jobs;
-    }
-    if let Some(shards) = parse_usize(args, "--shards")? {
-        if shards == 0 {
-            return Err("--shards needs a positive integer".into());
-        }
-        config.shards = shards;
-    }
-    Ok(())
 }
 
 fn run_cache_stats(args: &[String]) -> Result<(), String> {
@@ -330,12 +409,6 @@ fn run_coexistence(args: &[String]) -> Result<(), String> {
     if let Some(seed) = parse_usize(args, "--seed")? {
         cfg.seed = seed as u64;
     }
-    if let Some(shards) = parse_usize(args, "--shards")? {
-        if shards == 0 {
-            return Err("--shards needs a positive integer".into());
-        }
-        cfg.shards = shards;
-    }
     let registry = ProtocolRegistry::builtin();
     let default_panel: Vec<String> = cfg.protocols.clone();
     let default_names: Vec<&str> = default_panel.iter().map(String::as_str).collect();
@@ -455,16 +528,20 @@ fn print_report(config: &StudyConfig, report: &StudyRunReport, out_dir: &std::pa
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("cache-stats") => return run_cache_stats(&args[2..]),
-        Some("coexistence") => return run_coexistence(&args[2..]),
-        Some("serve") => return run_serve(&args[2..]),
-        Some("query") => return run_query(&args[2..]),
-        _ => {}
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (command, args) = Command::parse(&args);
+    command.check(args)?;
+    match command {
+        Command::Study => run_grid(args),
+        Command::CacheStats => run_cache_stats(args),
+        Command::Coexistence => run_coexistence(args),
+        Command::Serve => run_serve(args),
+        Command::Query => run_query(args),
     }
+}
 
-    let (mut config, out_dir, manifest_path) = match flag_value(&args, "--resume")? {
+fn run_grid(args: &[String]) -> Result<(), String> {
+    let (mut config, out_dir, manifest_path) = match flag_value(args, "--resume")? {
         Some(path) => {
             // The manifest *is* the config: grid, panel, stride, cache
             // directory, output directory. Config-shaping flags would
@@ -484,7 +561,7 @@ fn run() -> Result<(), String> {
             }
             let path = PathBuf::from(path);
             let manifest = Manifest::load(&path).map_err(|e| format!("--resume: {e}"))?;
-            let out_dir = match flag_value(&args, "--out")? {
+            let out_dir = match flag_value(args, "--out")? {
                 Some(dir) => PathBuf::from(dir),
                 None => manifest
                     .out_dir
@@ -494,17 +571,21 @@ fn run() -> Result<(), String> {
             (manifest.config, out_dir, path)
         }
         None => {
-            let config = config_from_flags(&args)?;
+            let config = config_from_flags(args)?;
             let out_dir =
-                PathBuf::from(flag_value(&args, "--out")?.unwrap_or_else(|| "artifacts".into()));
+                PathBuf::from(flag_value(args, "--out")?.unwrap_or_else(|| "artifacts".into()));
             let manifest_path = out_dir.join("manifest.json");
             (config, out_dir, manifest_path)
         }
     };
-    apply_execution_flags(&args, &mut config)?;
+    // Worker threads are proven byte-invariant, so `--jobs` never
+    // conflicts with a manifest's pinned config.
+    if let Some(jobs) = parse_usize(args, "--jobs")? {
+        config.threads = jobs;
+    }
     let options = RunOptions {
         manifest: Some(manifest_path),
-        max_items: parse_usize(&args, "--max-items")?,
+        max_items: parse_usize(args, "--max-items")?,
         out_dir: Some(out_dir.clone()),
     };
 
@@ -521,5 +602,75 @@ fn main() {
     if let Err(msg) = run() {
         eprintln!("{msg}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Command;
+
+    fn check(line: &str) -> Result<(), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let (command, args) = Command::parse(&args);
+        command.check(args)
+    }
+
+    #[test]
+    fn every_documented_invocation_is_accepted() {
+        for line in [
+            // CI's study-smoke, study-cache and serve-smoke jobs.
+            "--smoke --out artifacts --cache-dir .study-cache",
+            "coexistence --smoke --out artifacts",
+            "--out artifacts-full",
+            "--smoke --cache-dir study-cache --out out-cold",
+            "cache-stats --smoke --cache-dir study-cache",
+            "--smoke --cache-dir resume-cache --max-items 5 --out out-resumed",
+            "--resume out-resumed/manifest.json",
+            "--smoke --cache-dir serve-cache --out out-serve",
+            "serve --addr 127.0.0.1:0 --cache-dir serve-cache --addr-file serve-addr.txt",
+            "query --addr-file serve-addr.txt --smoke --out replayed --stats",
+            // ci/regen_goldens.sh.
+            "--smoke --out ci/golden",
+            "--out ci/golden/full",
+            "coexistence --smoke --out ci/golden",
+            // The rest of the documented surface.
+            "",
+            "--preset hotspot --protocols xmac,csma --validate-every 0 --jobs 1",
+            "--resume out/manifest.json --jobs 2 --out elsewhere --max-items 3",
+            "cache-stats --smoke --cache-dir .study-cache --json",
+            "serve --addr 127.0.0.1:7878 --cache-dir c --workers 2 --hot-cap 64 \
+             --queue-cap 8 --deadline-ms 500 --quiet",
+            "query --addr 127.0.0.1:7878 --preset ring --protocols xmac --validate-every 4",
+            "coexistence --separation 2.5 --seed 7 --protocols xmac,lmac",
+        ] {
+            assert_eq!(check(line), Ok(()), "{line}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_refused_with_the_accepted_flags() {
+        for (line, command) in [
+            ("--smoke --shards 2", "study"),
+            ("--validate-evry 0", "study"),
+            ("--smoke smoke", "study"),
+            ("coexistence --smoke --shards 2", "study coexistence"),
+            (
+                "cache-stats --smoke --cache-dir c --out x",
+                "study cache-stats",
+            ),
+            ("serve --smoke", "study serve"),
+            ("query --addr a --cache-dir c", "study query"),
+        ] {
+            let err = check(line).expect_err(line);
+            assert!(
+                err.starts_with(&format!("{command}: unknown argument")),
+                "{err}"
+            );
+        }
+        let err = check("--validate-evry 0").unwrap_err();
+        assert!(err.contains("'--validate-evry'"), "{err}");
+        assert!(err.contains("--validate-every"), "{err}");
+        // A flag's value is never mistaken for a flag.
+        assert_eq!(check("--out --shards"), Ok(()));
     }
 }

@@ -8,25 +8,29 @@
 //! its SINR against the summed interference clears the threshold.
 //! [`UnitDisk`] is the capture-off case at unit power.
 //!
-//! # Sharded execution
+//! # Run state
 //!
-//! The engine is built around a read-only [`Shared`] world plus one or
-//! more [`ShardState`]s, each owning an arena of per-node state, an
-//! event scheduler and a wake schedule (two binary heaps,
-//! [`crate::queue::HeapQueue`]).
-//! A run with one shard *is* the sequential reference engine; a run
-//! with `k` shards (see [`Simulation::with_shards`]) partitions the
-//! topology spatially and executes the shards on worker threads under
-//! conservative, wake-derived time bounds (`shard.rs`). Every piece of
+//! The engine is built around a read-only [`Shared`] world plus one
+//! [`RunState`] that owns the arena of per-node state (indexed by
+//! global node id), the event scheduler and the wake schedule (two
+//! binary heaps, [`crate::queue::HeapQueue`]). The split is what lets a
+//! [`Ctx`] read the world while it mutates node state. Every piece of
 //! mutable run state — RNG stream, timer ids, transmit sequence
 //! numbers, packet ids, event sequence numbers, packet records — is
-//! per-node, and every queue tie-break is on the global
+//! per-node, and every queue tie-break is on the
 //! `(time, causal round, node order, sequence)` key
-//! ([`crate::OrderKey`]), which is why the sharded run reproduces the
-//! sequential `SimReport` bit for bit (asserted by
-//! `tests/shard_equivalence.rs`).
+//! ([`crate::OrderKey`]): a node's draws depend only on its own events,
+//! and simultaneous events run in key order, never insertion order.
+//!
+//! There is one engine. A conservative-parallel sharded engine ran
+//! next to it until it was measured to never pay: on a 2-core machine
+//! `study --smoke` took 0.135 s sequentially and 11.9 s on two shards,
+//! the coexistence smoke 0.35 s against 38.4 s, and the 100 000-node
+//! X-MAC run 8.1 s against 17.9–20.5 s on four shards, while only 3
+//! of 316 596 coordination rounds on the smoke grid (and 0 of 161 034
+//! on coexistence) ever advanced two shards at once.
 
-use crate::events::{AirBatch, AirSlab, Event, Transmission};
+use crate::events::{AirSlab, Event};
 use crate::frame::{Frame, FrameKind, Packet, PacketId};
 use crate::protocol::SimProtocol;
 pub use crate::protocols::MacNode;
@@ -55,13 +59,13 @@ pub enum WakeMode {
     /// sample the channel; elided idle ticks are replayed into the
     /// energy ledger arithmetically ([`Ctx::replay_idle_wake`]).
     ///
-    /// A single network run on one shard also gets the quiet-network
-    /// fast path: while no node holds a packet and no packet is on the
-    /// air, nothing but schedule-fixed heartbeats can reach the air
-    /// before the next application sample, so X-MAC polls and DMAC
-    /// cycles whose whole window closes before it are replayed instead
-    /// of simulated ([`Ctx::quiet_until`]); LMAC does the same for a
-    /// slot whose owner is packet-free past its control
+    /// A single-network run also gets the quiet-network fast path:
+    /// while no node holds a packet and no packet is on the air,
+    /// nothing but schedule-fixed heartbeats can reach the air before
+    /// the next application sample, so X-MAC polls and DMAC cycles
+    /// whose whole window closes before it are replayed instead of
+    /// simulated ([`Ctx::quiet_until`]); LMAC does the same for a slot
+    /// whose owner is packet-free past its control
     /// ([`Ctx::packet_free_until`]).
     ///
     /// A replay is proven only by a network's own schedule, so it is
@@ -186,9 +190,9 @@ impl MacNode for NullNode {
 
 /// Per-node radio bookkeeping.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RadioState {
-    pub(crate) mode: Mode,
-    pub(crate) since: SimTime,
+struct RadioState {
+    mode: Mode,
+    since: SimTime,
     cause: Cause,
     /// Invalidates in-flight `RadioReady` events after `sleep()`.
     startup_token: u64,
@@ -233,16 +237,14 @@ fn node_stream(seed: u64, node: usize) -> u64 {
     mix(seed ^ mix(node as u64 ^ 0x0005_DEEC_E66D))
 }
 
-/// All mutable state of one node, stored in its shard's arena.
+/// All mutable state of one node, stored in the run's arena.
 ///
-/// Everything that used to be a run-global counter (timer ids, tx
-/// sequence numbers, packet ids, the event sequence, the RNG) lives
-/// here, keyed or seeded by the node's global index — the invariant
-/// that makes the simulation's evolution independent of how nodes are
-/// spread over shards.
+/// Timer ids, tx sequence numbers, packet ids, the event sequence and
+/// the RNG live here, keyed or seeded by the node's global index, so
+/// what a node draws and mints depends only on its own events.
 #[derive(Debug)]
-pub(crate) struct NodeState {
-    pub(crate) radio: RadioState,
+struct NodeState {
+    radio: RadioState,
     ledger: EnergyLedger,
     active_rx: Option<ActiveRx>,
     /// Frames on the air here and their total power: the count is the
@@ -256,7 +258,7 @@ pub(crate) struct NodeState {
     rng: StdRng,
     /// The currently registered wake `(time, token)`; queue entries
     /// that no longer match are stale and skipped on pop.
-    pub(crate) wake_current: Option<(SimTime, u64)>,
+    wake_current: Option<(SimTime, u64)>,
     wake_token: u64,
     next_timer: u64,
     next_tx: u64,
@@ -330,19 +332,18 @@ impl NodeState {
     }
 }
 
-/// The read-only world every shard shares: topology, routing, radio
-/// hardware, configuration, and the node→shard placement.
+/// The read-only world of a run: topology, routing, radio hardware and
+/// configuration.
 #[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) end: SimTime,
-    pub(crate) radio_hw: Radio,
+struct Shared {
+    end: SimTime,
+    radio_hw: Radio,
     frames: FrameSizes,
     /// The realized channel. Its receivers are the *air* adjacency
     /// (everyone who registers a transmission, with the power it
     /// receives), a superset of the decode graph routing was built
-    /// over — the sharded scheduler's lookahead keys on it, so it stays
-    /// conservative under interference-range > decode-range for free.
-    pub(crate) field: LinkField,
+    /// over: every one of them gets the frame's air batches.
+    field: LinkField,
     /// How receptions are judged.
     params: SinrParams,
     parent: Vec<Option<NodeId>>,
@@ -357,22 +358,14 @@ pub(crate) struct Shared {
     /// Each network's deepest hop distance, indexed by network id.
     max_depths: Vec<usize>,
     /// The run configuration, with the wake mode that actually runs.
-    pub(crate) config: SimConfig,
+    config: SimConfig,
     /// `true` when the engine may leave sleeping receivers out of a
     /// transmission's air batches (decided by [`Simulation::new`]).
     elide_sleepers: bool,
     /// Per-node traffic overriding [`SimConfig::sample_period`].
     traffic: Option<TrafficProfile>,
-    /// The shard owning each global node.
-    pub(crate) shard_of: Vec<u32>,
-    /// Each global node's index into its owning shard's arena.
-    pub(crate) local_of: Vec<u32>,
     /// The exact engine delta of a radio startup, in nanoseconds.
-    pub(crate) startup_ns: u64,
-    /// The exact minimum frame airtime delta, in nanoseconds — the
-    /// shortest delay after which one node's handler can create a
-    /// *handler* (an `on_frame`) at another node.
-    pub(crate) min_airtime_ns: u64,
+    startup_ns: u64,
     /// The exact engine delta of each frame kind's airtime, in
     /// nanoseconds, indexed by [`FrameKind::index`].
     airtime_ns: [u64; FrameKind::ALL.len()],
@@ -396,10 +389,6 @@ impl Shared {
         SimTime::from_nanos(at.as_nanos() + self.airtime_ns[kind.index()])
     }
 
-    pub(crate) fn local(&self, node: NodeId) -> usize {
-        self.local_of[node.index()] as usize
-    }
-
     /// The `i`-th air neighbor of `src` and the power (mW) it receives
     /// from `src`.
     fn air_link(&self, src: NodeId, i: u32) -> (NodeId, f64) {
@@ -417,39 +406,23 @@ impl Shared {
     }
 }
 
-/// One shard's complete mutable state: its slice of the node arena,
-/// its event and wake queues, and its cross-shard outbox.
+/// The run's complete mutable state: the node arena, indexed by global
+/// node id, the event and wake queues, and the transmissions on the
+/// air.
 #[derive(Debug)]
-pub(crate) struct ShardState {
-    pub(crate) id: u32,
-    pub(crate) now: SimTime,
-    pub(crate) events: HeapQueue<Event>,
-    pub(crate) wakes: HeapQueue<()>,
-    /// Global ids of this shard's nodes, ascending; `nodes`,
-    /// `machines`, `pending` and `boundary` are parallel to it.
-    pub(crate) members: Vec<NodeId>,
-    pub(crate) nodes: Vec<NodeState>,
+struct RunState {
+    now: SimTime,
+    events: HeapQueue<Event>,
+    wakes: HeapQueue<()>,
+    nodes: Vec<NodeState>,
     machines: Vec<Box<dyn MacNode>>,
-    /// The transmissions this shard's queued air batches name.
+    /// The transmissions the queued air batches name.
     air: AirSlab,
-    /// Air batches emitted for other shards' nodes, one per
-    /// transmission and destination shard, routed by the coordinator
-    /// at round boundaries.
-    pub(crate) outbox: Vec<(u32, AirBatch)>,
-    /// Per boundary node: a lazy min-heap of the times of events
-    /// scheduled for it (a lower bound on its next queue handler,
-    /// feeding the lookahead computation).
-    pub(crate) pending: Vec<BinaryHeap<Reverse<SimTime>>>,
-    /// `true` where the node has a neighbor in another shard.
-    pub(crate) boundary: Vec<bool>,
-    /// Adjacent shards and, per adjacent shard, the local indices of
-    /// this shard's nodes with neighbors there.
-    pub(crate) adj: Vec<(u32, Vec<u32>)>,
     /// Sink-side delivery log: packet id → (time, hops), first write
-    /// wins (in shard execution order).
+    /// wins.
     deliveries: HashMap<u64, (SimTime, u32)>,
     /// The quiet-network bookkeeping; `None` (and [`Ctx::quiet_until`]
-    /// always `now`) unless the run is one network on one shard under
+    /// always `now`) unless the run is one network under
     /// [`WakeMode::Coarse`].
     quiet: Option<QuietLedger>,
 }
@@ -465,12 +438,37 @@ struct QuietLedger {
     generates: BinaryHeap<Reverse<SimTime>>,
 }
 
-impl ShardState {
-    /// Mints the next ordering key of `node` (arena index `local`).
-    /// `round` is the same-instant causal depth ([`OrderKey::round`]);
-    /// entries for future instants always pass 0.
-    fn key_for(&mut self, local: usize, node: NodeId, at: SimTime, round: u32) -> OrderKey {
-        let st = &mut self.nodes[local];
+impl RunState {
+    /// A fresh run over `machines`, one per global node.
+    fn new(shared: &Shared, machines: Vec<Box<dyn MacNode>>) -> RunState {
+        let nodes: Vec<NodeState> = (0..machines.len())
+            .map(|u| NodeState::new(&shared.radio_hw, shared.config.seed, u))
+            .collect();
+        // Quiet replay leans on whole-network knowledge (every holder,
+        // every pending sample); a second network's traffic is unknown
+        // to this one's schedule.
+        let track_quiet = shared.sinks.len() == 1 && shared.config.scheduling == WakeMode::Coarse;
+        RunState {
+            now: SimTime::ZERO,
+            events: HeapQueue::new(),
+            wakes: HeapQueue::new(),
+            quiet: track_quiet.then(|| QuietLedger {
+                holders: nodes.len(),
+                packet_air: 0,
+                generates: BinaryHeap::new(),
+            }),
+            nodes,
+            machines,
+            air: AirSlab::default(),
+            deliveries: HashMap::new(),
+        }
+    }
+
+    /// Mints the next ordering key of `node`. `round` is the
+    /// same-instant causal depth ([`OrderKey::round`]); entries for
+    /// future instants always pass 0.
+    fn key_for(&mut self, node: NodeId, at: SimTime, round: u32) -> OrderKey {
+        let st = &mut self.nodes[node.index()];
         let seq = st.next_event_seq;
         st.next_event_seq += 1;
         OrderKey {
@@ -481,55 +479,19 @@ impl ShardState {
         }
     }
 
-    /// Schedules a per-node event, tracking boundary pending times.
-    fn schedule_event(&mut self, shared: &Shared, key: OrderKey, event: Event) {
-        let dest = event.node().expect("air batches go through queue_air");
-        debug_assert_eq!(shared.shard_of[dest.index()], self.id);
-        let l = shared.local(dest);
-        if self.boundary[l] {
-            self.pending[l].push(Reverse(key.at));
-        }
-        self.events.schedule(key, event);
-    }
-
-    /// Queues the `AirStart` and `AirEnd` batches of record `tx` under
-    /// `start` and `end`, tracking both times as pending for every
-    /// boundary receiver the record covers.
-    fn queue_air(&mut self, shared: &Shared, start: OrderKey, end: OrderKey, tx: u32) {
-        let rec = &self.air[tx];
-        for &i in &rec.receivers {
-            let (node, _) = shared.air_link(rec.frame.src, i);
-            debug_assert_eq!(shared.shard_of[node.index()], self.id);
-            let l = shared.local(node);
-            if self.boundary[l] {
-                self.pending[l].push(Reverse(start.at));
-                self.pending[l].push(Reverse(end.at));
-            }
-        }
-        self.events.schedule(start, Event::AirStart { tx });
-        self.events.schedule(end, Event::AirEnd { tx });
-    }
-
     /// Schedules `node`'s next application sample at `at`.
-    fn schedule_generate(
-        &mut self,
-        shared: &Shared,
-        local: usize,
-        node: NodeId,
-        at: SimTime,
-        round: u32,
-    ) {
-        let key = self.key_for(local, node, at, round);
-        self.schedule_event(shared, key, Event::Generate { node });
-        self.nodes[local].next_sample = at;
+    fn schedule_generate(&mut self, node: NodeId, at: SimTime, round: u32) {
+        let key = self.key_for(node, at, round);
+        self.events.schedule(key, Event::Generate { node });
+        self.nodes[node.index()].next_sample = at;
         if let Some(quiet) = &mut self.quiet {
             quiet.generates.push(Reverse(at));
         }
     }
 
-    /// Records whether the node at `local` now holds packets.
-    fn note_holds(&mut self, local: usize, holds: bool) {
-        let st = &mut self.nodes[local];
+    /// Records whether `node` now holds packets.
+    fn note_holds(&mut self, node: NodeId, holds: bool) {
+        let st = &mut self.nodes[node.index()];
         if st.holds == holds {
             return;
         }
@@ -543,15 +505,9 @@ impl ShardState {
         }
     }
 
-    /// Takes in an air batch another shard emitted for nodes here.
-    pub(crate) fn deliver_air(&mut self, shared: &Shared, batch: AirBatch) {
-        let tx = self.air.insert(batch.tx);
-        self.queue_air(shared, batch.start, batch.end, tx);
-    }
-
     /// Registers (or supersedes) the single pending wake of a node.
-    fn register_wake(&mut self, local: usize, node: NodeId, want: Option<SimTime>) {
-        let st = &mut self.nodes[local];
+    fn register_wake(&mut self, node: NodeId, want: Option<SimTime>) {
+        let st = &mut self.nodes[node.index()];
         match (want, st.wake_current) {
             (Some(t), Some((current, _))) if current == t => {}
             (Some(t), _) => {
@@ -571,18 +527,17 @@ impl ShardState {
             (None, None) => {}
         }
     }
-}
 
-/// The earliest valid pending wake of `shard`, dropping stale entries.
-pub(crate) fn peek_wake(shared: &Shared, shard: &mut ShardState) -> Option<OrderKey> {
-    while let Some(key) = shard.wakes.peek_key() {
-        let l = shared.local(NodeId::new(key.node as usize));
-        if shard.nodes[l].wake_current == Some((key.at, key.seq)) {
-            return Some(key);
+    /// The earliest valid pending wake, dropping stale entries.
+    fn peek_wake(&mut self) -> Option<OrderKey> {
+        while let Some(key) = self.wakes.peek_key() {
+            if self.nodes[key.node as usize].wake_current == Some((key.at, key.seq)) {
+                return Some(key);
+            }
+            self.wakes.pop();
         }
-        shard.wakes.pop();
+        None
     }
-    None
 }
 
 /// What the radio did in a wake replayed through
@@ -606,9 +561,8 @@ pub enum IdleWake<'a> {
 #[derive(Debug)]
 pub struct Ctx<'a> {
     shared: &'a Shared,
-    shard: &'a mut ShardState,
+    run: &'a mut RunState,
     node: NodeId,
-    local: usize,
     /// Causal round assigned to entries this handler schedules for the
     /// *current* instant: the triggering entry's round plus one.
     round: u32,
@@ -617,7 +571,7 @@ pub struct Ctx<'a> {
 impl Ctx<'_> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.shard.now
+        self.run.now
     }
 
     /// This node's id.
@@ -658,36 +612,35 @@ impl Ctx<'_> {
     /// Returns `true` if any in-range transmission is currently on the
     /// air (the CCA primitive).
     pub fn channel_busy(&self) -> bool {
-        self.shard.nodes[self.local].tally.count() > 0
+        self.run.nodes[self.node.index()].tally.count() > 0
     }
 
     /// Returns `true` if the radio is currently locked onto a frame.
     pub fn is_receiving(&self) -> bool {
-        self.shard.nodes[self.local].active_rx.is_some()
+        self.run.nodes[self.node.index()].active_rx.is_some()
     }
 
     /// The radio's current mode.
     pub fn mode(&self) -> Mode {
-        self.shard.nodes[self.local].radio.mode
+        self.run.nodes[self.node.index()].radio.mode
     }
 
     /// Mints this node's next event ordering key for time `at`.
     /// Same-instant entries inherit this handler's causal round.
     fn next_key(&mut self, at: SimTime) -> OrderKey {
-        let round = if at == self.shard.now { self.round } else { 0 };
-        self.shard.key_for(self.local, self.node, at, round)
+        let round = if at == self.run.now { self.round } else { 0 };
+        self.run.key_for(self.node, at, round)
     }
 
     /// Schedules a timer `delay` from now; returns its id.
     pub fn set_timer(&mut self, delay: Seconds, tag: u32) -> u64 {
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let id = ((self.node.index() as u64) << 32) | st.next_timer;
         st.next_timer += 1;
         st.pending_timers += 1;
-        let at = self.shard.now.after(delay);
+        let at = self.run.now.after(delay);
         let key = self.next_key(at);
-        self.shard.schedule_event(
-            self.shared,
+        self.run.events.schedule(
             key,
             Event::Timer {
                 node: self.node,
@@ -700,7 +653,7 @@ impl Ctx<'_> {
 
     /// Cancels a pending timer (firing becomes a no-op).
     pub fn cancel_timer(&mut self, id: u64) {
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         if st.pending_timers > 0 && !st.cancelled_timers.contains(&id) {
             st.cancelled_timers.push(id);
         }
@@ -710,7 +663,7 @@ impl Ctx<'_> {
     /// fired yet, cancelled ones included (a cancelled timer still
     /// occupies the queue until its instant).
     pub fn pending_timers(&self) -> u32 {
-        self.shard.nodes[self.local].pending_timers
+        self.run.nodes[self.node.index()].pending_timers
     }
 
     /// The instant up to which the network is provably packet-free:
@@ -726,12 +679,11 @@ impl Ctx<'_> {
     /// [`replay_idle_wake`](Ctx::replay_idle_wake) instead of
     /// simulated.
     ///
-    /// Always `now` under [`WakeMode::Dense`], on more than one shard
-    /// and with more than one network: the engine keeps no quiet
-    /// bookkeeping there.
+    /// Always `now` under [`WakeMode::Dense`] and with more than one
+    /// network: the engine keeps no quiet bookkeeping there.
     pub fn quiet_until(&self) -> SimTime {
-        let now = self.shard.now;
-        match &self.shard.quiet {
+        let now = self.run.now;
+        match &self.run.quiet {
             Some(quiet) if quiet.holders == 0 && quiet.packet_air == 0 => {
                 let end = self.shared.end;
                 let next = quiet.generates.peek().map_or(end, |t| t.0.min(end));
@@ -748,7 +700,7 @@ impl Ctx<'_> {
         if hi <= lo {
             return lo;
         }
-        self.shard.nodes[self.local].rng.gen_range(lo..hi)
+        self.run.nodes[self.node.index()].rng.gen_range(lo..hi)
     }
 
     /// Starts the radio from sleep; [`MacNode::on_radio_ready`] fires
@@ -757,8 +709,8 @@ impl Ctx<'_> {
     /// `cause` is charged for the startup period (poll startups are
     /// carrier-sense, schedule wake-ups are sync, ...).
     pub fn wake(&mut self, cause: Cause) {
-        let now = self.shard.now;
-        let st = &mut self.shard.nodes[self.local];
+        let now = self.run.now;
+        let st = &mut self.run.nodes[self.node.index()];
         if st.radio.mode != Mode::Sleep {
             return;
         }
@@ -767,8 +719,7 @@ impl Ctx<'_> {
         let token = st.radio.startup_token;
         let at = now.after(self.shared.radio_hw.timings.startup);
         let key = self.next_key(at);
-        self.shard.schedule_event(
-            self.shared,
+        self.run.events.schedule(
             key,
             Event::RadioReady {
                 node: self.node,
@@ -785,8 +736,8 @@ impl Ctx<'_> {
     /// Panics if called mid-transmission — a protocol must never
     /// abandon its own frame on the air.
     pub fn sleep(&mut self) {
-        let now = self.shard.now;
-        let st = &mut self.shard.nodes[self.local];
+        let now = self.run.now;
+        let st = &mut self.run.nodes[self.node.index()];
         assert!(
             st.radio.mode != Mode::Tx,
             "node {} tried to sleep while transmitting",
@@ -800,8 +751,8 @@ impl Ctx<'_> {
     /// Re-labels the cause charged for the current listening period
     /// (e.g. a poll that turned into an exchange).
     pub fn relabel_listen(&mut self, cause: Cause) {
-        let now = self.shard.now;
-        let st = &mut self.shard.nodes[self.local];
+        let now = self.run.now;
+        let st = &mut self.run.nodes[self.node.index()];
         if st.radio.mode == Mode::Listen {
             st.set_mode(now, Mode::Listen, cause);
         }
@@ -816,15 +767,15 @@ impl Ctx<'_> {
     /// Panics if the radio is not in listen mode — protocols must
     /// sequence their own transmissions.
     pub fn send(&mut self, kind: FrameKind, dst: Option<NodeId>, packet: Option<Packet>) {
-        let now = self.shard.now;
+        let now = self.run.now;
         assert_eq!(
-            self.shard.nodes[self.local].radio.mode,
+            self.run.nodes[self.node.index()].radio.mode,
             Mode::Listen,
             "node {} tried to send {kind:?} while not listening",
             self.node
         );
         // Transmitting tears down any half-received frame.
-        self.shard.nodes[self.local].active_rx = None;
+        self.run.nodes[self.node.index()].active_rx = None;
 
         let frame = Frame {
             kind,
@@ -832,81 +783,57 @@ impl Ctx<'_> {
             dst,
             packet,
         };
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let tx_seq = ((self.node.index() as u64) << 32) | st.next_tx;
         st.next_tx += 1;
         st.counters.record_tx(kind);
         st.set_mode(now, Mode::Tx, kind.tx_cause());
         st.tx_carries_packet = packet.is_some();
-        if let (true, Some(quiet)) = (packet.is_some(), &mut self.shard.quiet) {
+        if let (true, Some(quiet)) = (packet.is_some(), &mut self.run.quiet) {
             quiet.packet_air += 1;
         }
 
-        let start = now;
-        let end = self.shared.frame_end(start, kind);
+        let end = self.shared.frame_end(now, kind);
         let shared = self.shared;
-        // The frame is recorded once per shard that hears it. Every
-        // receiver still mints a pair of keys and each record is queued
-        // under its first receiver's pair: the later receivers' keys
-        // fall between that pair and this node's next entry, so no
-        // other entry sorts between the receivers of one batch.
-        let mut local: Option<(u32, OrderKey, OrderKey)> = None;
-        let mut remote: Vec<(u32, AirBatch)> = Vec::new();
+        // The frame is recorded once and queued as one `AirStart` and
+        // one `AirEnd` entry. Every receiver still mints its pair of
+        // keys and the record is queued under the first pair: the
+        // later receivers' keys fall between that pair and this node's
+        // next entry, so no other entry sorts between the receivers of
+        // one batch, and the sequence stream is the one every pinned
+        // output was produced with.
+        let mut queued: Option<(u32, OrderKey, OrderKey)> = None;
         for (i, &(neighbor, _)) in shared.field.receivers(self.node).iter().enumerate() {
-            let dest_shard = shared.shard_of[neighbor.index()];
             // A receiver asleep at the first bit can never lock onto
             // the frame; the only residue of delivering the frame to
             // it would be its interference tally, whose count the CCA
             // primitive reads and whose power only capture reads. For a
             // protocol that never samples the channel (LMAC), on a
             // capture-off channel, that residue is unobservable, so the
-            // receiver is left out of the record. A receiver in another
-            // shard always stays in: its radio mode cannot be read
-            // here, and delivering to it is equally unobservable.
-            if dest_shard == self.shard.id
-                && shared.elide_sleepers
-                && self.shard.nodes[shared.local(neighbor)].radio.mode == Mode::Sleep
-            {
+            // receiver is left out of the record.
+            if shared.elide_sleepers && self.run.nodes[neighbor.index()].radio.mode == Mode::Sleep {
                 continue;
             }
-            let k1 = self.next_key(start);
+            let k1 = self.next_key(now);
             let k2 = self.next_key(end);
-            let i = i as u32;
-            if dest_shard == self.shard.id {
-                let tx = match local {
-                    Some((tx, _, _)) => tx,
-                    None => {
-                        let tx = self.shard.air.open(tx_seq, frame);
-                        local = Some((tx, k1, k2));
-                        tx
-                    }
-                };
-                self.shard.air[tx].receivers.push(i);
-            } else {
-                match remote.iter_mut().find(|(s, _)| *s == dest_shard) {
-                    Some((_, batch)) => batch.tx.receivers.push(i),
-                    None => remote.push((
-                        dest_shard,
-                        AirBatch {
-                            start: k1,
-                            end: k2,
-                            tx: Transmission {
-                                tx_seq,
-                                frame,
-                                receivers: vec![i],
-                            },
-                        },
-                    )),
+            let tx = match queued {
+                Some((tx, _, _)) => tx,
+                None => {
+                    let tx = self.run.air.open(tx_seq, frame);
+                    queued = Some((tx, k1, k2));
+                    tx
                 }
-            }
+            };
+            self.run.air[tx].receivers.push(i as u32);
         }
-        if let Some((tx, k1, k2)) = local {
-            self.shard.queue_air(shared, k1, k2, tx);
+        if let Some((tx, k1, k2)) = queued {
+            self.run.events.schedule(k1, Event::AirStart { tx });
+            self.run.events.schedule(k2, Event::AirEnd { tx });
         }
-        self.shard.outbox.append(&mut remote);
         let k = self.next_key(end);
-        self.shard
-            .schedule_event(shared, k, Event::TxDone { node: self.node });
+        self.run
+            .events
+            .schedule(k, Event::TxDone { node: self.node });
     }
 
     /// The instant up to which `node` provably holds no packet: its next
@@ -915,11 +842,11 @@ impl Ctx<'_> {
     /// per-node form of [`quiet_until`](Ctx::quiet_until), and like it
     /// always `now` without quiet bookkeeping.
     pub fn packet_free_until(&self, node: NodeId) -> SimTime {
-        let now = self.shard.now;
-        if self.shard.quiet.is_none() {
+        let now = self.run.now;
+        if self.run.quiet.is_none() {
             return now;
         }
-        let st = &self.shard.nodes[self.shared.local(node)];
+        let st = &self.run.nodes[node.index()];
         if st.holds {
             now
         } else {
@@ -931,8 +858,7 @@ impl Ctx<'_> {
     /// same whole-network view as [`quiet_until`](Ctx::quiet_until):
     /// always `false` without quiet bookkeeping.
     pub fn is_asleep(&self, node: NodeId) -> bool {
-        self.shard.quiet.is_some()
-            && self.shard.nodes[self.shared.local(node)].radio.mode == Mode::Sleep
+        self.run.quiet.is_some() && self.run.nodes[node.index()].radio.mode == Mode::Sleep
     }
 
     /// Replays, straight into the energy ledger, one wake-up that the
@@ -956,14 +882,14 @@ impl Ctx<'_> {
     /// No-op if the node was not asleep across `wake_at` (the dense
     /// scheduler skips busy boundaries without charging them).
     pub fn replay_idle_wake(&mut self, wake_at: SimTime, cause: Cause, then: IdleWake<'_>) {
-        let state = self.shard.nodes[self.local].radio;
+        let state = self.run.nodes[self.node.index()].radio;
         if state.mode != Mode::Sleep || wake_at < state.since {
             return;
         }
         let shared = self.shared;
         let end = shared.end;
         let ready = SimTime::from_nanos(wake_at.as_nanos() + shared.startup_ns);
-        let st = &mut self.shard.nodes[self.local];
+        let st = &mut self.run.nodes[self.node.index()];
         let woke = wake_at.min(end);
         st.ledger
             .charge(Mode::Sleep, Cause::Sleep, woke.since(state.since));
@@ -1004,8 +930,8 @@ impl Ctx<'_> {
 
     /// Records the final delivery of `packet` at the sink.
     pub fn deliver(&mut self, packet: Packet) {
-        let now = self.shard.now;
-        self.shard
+        let now = self.run.now;
+        self.run
             .deliveries
             .entry(packet.id.0)
             .or_insert((now, packet.hops));
@@ -1017,29 +943,27 @@ impl Ctx<'_> {
 /// re-queries and re-registers its wake. `round` is the causal round
 /// the handler's same-instant scheduling inherits (the triggering
 /// entry's round plus one).
-pub(crate) fn with_node<F>(shared: &Shared, shard: &mut ShardState, node: NodeId, round: u32, f: F)
+fn with_node<F>(shared: &Shared, run: &mut RunState, node: NodeId, round: u32, f: F)
 where
     F: FnOnce(&mut Box<dyn MacNode>, &mut Ctx<'_>),
 {
-    let local = shared.local(node);
     let mut taken: Box<dyn MacNode> =
-        std::mem::replace(&mut shard.machines[local], Box::new(NullNode));
+        std::mem::replace(&mut run.machines[node.index()], Box::new(NullNode));
     let want = {
         let mut ctx = Ctx {
             shared,
-            shard,
+            run,
             node,
-            local,
             round,
         };
         f(&mut taken, &mut ctx);
-        if ctx.shard.quiet.is_some() {
-            ctx.shard.note_holds(local, taken.holds_packets());
+        if ctx.run.quiet.is_some() {
+            ctx.run.note_holds(node, taken.holds_packets());
         }
         taken.next_activity(&mut ctx)
     };
-    shard.machines[local] = taken;
-    shard.register_wake(local, node, want);
+    run.machines[node.index()] = taken;
+    run.register_wake(node, want);
 }
 
 /// A frame's first bit arrives at `node`, received at `power_mw`.
@@ -1103,15 +1027,15 @@ fn air_start(
 /// node's `on_frame` in causal round `round`.
 fn air_end(
     shared: &Shared,
-    shard: &mut ShardState,
+    run: &mut RunState,
     round: u32,
     node: NodeId,
     tx_seq: u64,
     frame: &Frame,
     power_mw: f64,
 ) {
-    let now = shard.now;
-    let st = &mut shard.nodes[shared.local(node)];
+    let now = run.now;
+    let st = &mut run.nodes[node.index()];
     st.tally.remove(power_mw);
     let finished = match &st.active_rx {
         Some(rx) if rx.tx_seq == tx_seq => Some((rx.corrupted, rx.min_sinr, rx.overlapped)),
@@ -1137,26 +1061,25 @@ fn air_end(
             // Cross-network frames decode at the radio but never reach
             // the MAC state machine (PAN filter).
             if shared.network(frame.src) == shared.network(node) {
-                with_node(shared, shard, node, round, |n, ctx| n.on_frame(ctx, frame));
+                with_node(shared, run, node, round, |n, ctx| n.on_frame(ctx, frame));
             }
         }
     }
 }
 
-/// Delivers one event, queued under `key`, to shard-local state and
-/// the destination nodes. Same-instant follow-ups land in the causal
+/// Delivers one event, queued under `key`, to the run state and the
+/// destination nodes. Same-instant follow-ups land in the causal
 /// round after the event's own.
-fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event) {
+fn dispatch(shared: &Shared, run: &mut RunState, key: OrderKey, event: Event) {
     let round = key.round + 1;
     match event {
         Event::Generate { node } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            if let Some(quiet) = &mut shard.quiet {
+            let now = run.now;
+            if let Some(quiet) = &mut run.quiet {
                 let popped = quiet.generates.pop();
                 debug_assert_eq!(popped, Some(Reverse(now)), "generates fire in time order");
             }
-            let st = &mut shard.nodes[local];
+            let st = &mut run.nodes[node.index()];
             let id = PacketId(((node.index() as u64) << 32) | st.next_packet);
             st.next_packet += 1;
             let packet = Packet {
@@ -1182,13 +1105,13 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event
             let jitter = st.rng.gen_range(0.5..1.5);
             let next = now.after(shared.sample_period(now, node) * jitter);
             let r = if next == now { round } else { 0 };
-            shard.schedule_generate(shared, local, node, next, r);
-            with_node(shared, shard, node, round, |n, ctx| {
+            run.schedule_generate(node, next, r);
+            with_node(shared, run, node, round, |n, ctx| {
                 n.on_generate(ctx, packet)
             });
         }
         Event::Timer { node, id, tag } => {
-            let st = &mut shard.nodes[shared.local(node)];
+            let st = &mut run.nodes[node.index()];
             st.pending_timers -= 1;
             let cancelled = match st.cancelled_timers.iter().position(|&c| c == id) {
                 Some(i) => {
@@ -1203,92 +1126,74 @@ fn dispatch(shared: &Shared, shard: &mut ShardState, key: OrderKey, event: Event
             if cancelled {
                 return;
             }
-            with_node(shared, shard, node, round, |n, ctx| {
-                n.on_timer(ctx, tag, id)
-            });
+            with_node(shared, run, node, round, |n, ctx| n.on_timer(ctx, tag, id));
         }
         Event::RadioReady { node, token } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             if st.radio.startup_token != token || st.radio.mode != Mode::Startup {
                 return; // stale: the node went back to sleep
             }
             let cause = st.radio.cause;
             st.set_mode(now, Mode::Listen, cause);
-            with_node(shared, shard, node, round, |n, ctx| n.on_radio_ready(ctx));
+            with_node(shared, run, node, round, |n, ctx| n.on_radio_ready(ctx));
         }
         Event::AirStart { tx } => {
-            let now = shard.now;
-            let rec = &shard.air[tx];
+            let now = run.now;
+            let rec = &run.air[tx];
             for &i in &rec.receivers {
                 let (node, power_mw) = shared.air_link(rec.frame.src, i);
-                let st = &mut shard.nodes[shared.local(node)];
+                let st = &mut run.nodes[node.index()];
                 air_start(shared, st, now, node, rec.tx_seq, &rec.frame, power_mw);
             }
         }
         Event::AirEnd { tx } => {
-            let now = shard.now;
-            let (tx_seq, frame) = (shard.air[tx].tx_seq, shard.air[tx].frame);
-            let mut receivers = std::mem::take(&mut shard.air[tx].receivers);
+            let now = run.now;
+            let (tx_seq, frame) = (run.air[tx].tx_seq, run.air[tx].frame);
+            let mut receivers = std::mem::take(&mut run.air[tx].receivers);
             for (j, &i) in receivers.iter().enumerate() {
                 let (node, power_mw) = shared.air_link(frame.src, i);
-                air_end(shared, shard, round, node, tx_seq, &frame, power_mw);
+                air_end(shared, run, round, node, tx_seq, &frame, power_mw);
                 // Wakes win ties: a wake this receiver's handler
                 // registered at `now` fires before the next receiver's
                 // `AirEnd`, so the rest of the batch goes back under its
                 // key (no other entry sorts between the two).
-                let local = shared.local(node);
-                let wake_due = shard.nodes[local]
+                let wake_due = run.nodes[node.index()]
                     .wake_current
                     .is_some_and(|(t, _)| t <= now);
                 if wake_due && j + 1 < receivers.len() {
                     receivers.drain(..=j);
-                    shard.air[tx].receivers = receivers;
-                    shard.events.schedule(key, Event::AirEnd { tx });
+                    run.air[tx].receivers = receivers;
+                    run.events.schedule(key, Event::AirEnd { tx });
                     return;
                 }
             }
-            shard.air.release(tx, receivers);
+            run.air.release(tx, receivers);
         }
         Event::TxDone { node } => {
-            let local = shared.local(node);
-            let now = shard.now;
-            let st = &mut shard.nodes[local];
+            let now = run.now;
+            let st = &mut run.nodes[node.index()];
             debug_assert_eq!(st.radio.mode, Mode::Tx);
             st.set_mode(now, Mode::Listen, Cause::CarrierSense);
             if std::mem::take(&mut st.tx_carries_packet) {
-                if let Some(quiet) = &mut shard.quiet {
+                if let Some(quiet) = &mut run.quiet {
                     quiet.packet_air -= 1;
                 }
             }
-            with_node(shared, shard, node, round, |n, ctx| n.on_tx_done(ctx));
+            with_node(shared, run, node, round, |n, ctx| n.on_tx_done(ctx));
         }
     }
 }
 
-/// Runs `shard` forward, interleaving queued events with the per-node
-/// wake schedule exactly like the single-threaded engine: ties go to
-/// wakes (the dense scheduler's boundary timers always carried the
-/// earliest sequence numbers), simultaneous wakes fire in node order.
-///
-/// Processes items with time strictly below `bound_ns` (the
-/// conservative window bound; `u64::MAX` = unbounded), never past the
-/// horizon, and at most `limit` of them (the serialized fallback steps
-/// one at a time). Returns the number of items processed.
-pub(crate) fn advance(
-    shared: &Shared,
-    shard: &mut ShardState,
-    bound_ns: u64,
-    mut limit: usize,
-) -> usize {
-    // `at > end` never fires; in integer nanoseconds that is `at >=
-    // end + 1`, which folds the horizon into the exclusive bound.
-    let bound = bound_ns.min(shared.end.as_nanos() + 1);
-    let mut done = 0;
-    while limit > 0 {
-        let wake = peek_wake(shared, shard);
-        let event = shard.events.peek_key();
+/// Runs the simulation to the horizon, interleaving queued events with
+/// the per-node wake schedule: ties go to wakes (the dense scheduler's
+/// boundary timers always carried the earliest sequence numbers),
+/// simultaneous wakes fire in node order.
+fn advance(shared: &Shared, run: &mut RunState) {
+    let end = shared.end;
+    loop {
+        let wake = run.peek_wake();
+        let event = run.events.peek_key();
         let fire_wake = match (wake, event) {
             (Some(w), Some(e)) => w.at <= e.at,
             (Some(_), None) => true,
@@ -1297,60 +1202,55 @@ pub(crate) fn advance(
         };
         if fire_wake {
             let key = wake.expect("chosen branch has a wake");
-            if key.at.as_nanos() >= bound {
+            if key.at > end {
                 break;
             }
-            shard.wakes.pop();
+            run.wakes.pop();
             let node = NodeId::new(key.node as usize);
-            shard.nodes[shared.local(node)].wake_current = None;
-            shard.now = key.at;
+            run.nodes[node.index()].wake_current = None;
+            run.now = key.at;
             // Wakes carry round 0 and all fire before any event at the
             // same instant, so their same-instant follow-ups land in
             // round 1 — after every already-pending event.
-            with_node(shared, shard, node, 1, |n, ctx| n.on_wake(ctx));
+            with_node(shared, run, node, 1, |n, ctx| n.on_wake(ctx));
         } else {
             let key = event.expect("chosen branch has an event");
-            if key.at.as_nanos() >= bound {
+            if key.at > end {
                 break;
             }
-            let (_, ev) = shard.events.pop().expect("peeked event exists");
-            shard.now = key.at;
-            dispatch(shared, shard, key, ev);
+            let (_, ev) = run.events.pop().expect("peeked event exists");
+            run.now = key.at;
+            dispatch(shared, run, key, ev);
         }
-        done += 1;
-        limit -= 1;
     }
-    done
 }
 
 /// Seeds periodic traffic (random initial phases from each node's own
-/// stream) and starts every node of `shard`.
-pub(crate) fn seed_and_start(shared: &Shared, shard: &mut ShardState) {
-    for i in 0..shard.members.len() {
-        let node = shard.members[i];
+/// stream) and starts every node.
+fn seed_and_start(shared: &Shared, run: &mut RunState) {
+    for i in 0..run.nodes.len() {
+        let node = NodeId::new(i);
         if shared.is_sink(node) {
             continue;
         }
         let period = shared.sample_period(SimTime::ZERO, node);
-        let phase = shard.nodes[i].rng.gen_range(0.0..period.value());
+        let phase = run.nodes[i].rng.gen_range(0.0..period.value());
         let at = SimTime::from_seconds(Seconds::new(phase));
-        shard.schedule_generate(shared, i, node, at, 0);
+        run.schedule_generate(node, at, 0);
     }
-    for i in 0..shard.members.len() {
-        let node = shard.members[i];
-        with_node(shared, shard, node, 1, |n, ctx| n.start(ctx));
+    for i in 0..run.nodes.len() {
+        with_node(shared, run, NodeId::new(i), 1, |n, ctx| n.start(ctx));
     }
 }
 
 /// Horizon phase: let schedule-coarsening nodes replay idle wakes that
 /// were still pending, then flush residual mode time.
-pub(crate) fn finish_shard(shared: &Shared, shard: &mut ShardState) {
-    shard.now = shared.end;
-    for i in 0..shard.members.len() {
-        let node = shard.members[i];
-        with_node(shared, shard, node, 1, |n, ctx| n.on_horizon(ctx));
+fn finish(shared: &Shared, run: &mut RunState) {
+    run.now = shared.end;
+    for i in 0..run.nodes.len() {
+        with_node(shared, run, NodeId::new(i), 1, |n, ctx| n.on_horizon(ctx));
     }
-    for st in &mut shard.nodes {
+    for st in &mut run.nodes {
         st.charge_current(shared.end);
         st.radio.since = shared.end;
     }
@@ -1360,11 +1260,9 @@ pub(crate) fn finish_shard(shared: &Shared, shard: &mut ShardState) {
 #[derive(Debug)]
 pub struct Simulation {
     shared: Shared,
-    positions: Vec<Point2>,
     machines: Vec<Box<dyn MacNode>>,
     /// Per-network protocol names, indexed by network id.
     network_names: Vec<&'static str>,
-    shards: usize,
 }
 
 impl Simulation {
@@ -1490,11 +1388,9 @@ impl Simulation {
             airtime_ns[kind.index()] =
                 SimTime::from_seconds(radio.airtime(kind.size(&frames))).as_nanos();
         }
-        let min_airtime_ns = airtime_ns.iter().copied().min().unwrap_or(1).max(1);
         let shared = Shared {
             end: SimTime::from_seconds(config.duration),
             startup_ns: SimTime::from_seconds(radio.timings.startup).as_nanos(),
-            min_airtime_ns,
             airtime_ns,
             radio_hw: radio,
             frames,
@@ -1508,15 +1404,11 @@ impl Simulation {
             config,
             elide_sleepers,
             traffic: None,
-            shard_of: vec![0; n],
-            local_of: (0..n as u32).collect(),
         };
         Ok(Simulation {
             shared,
-            positions,
             machines,
             network_names,
-            shards: 1,
         })
     }
 
@@ -1554,18 +1446,16 @@ impl Simulation {
         self.machines.len()
     }
 
-    /// Sets the number of spatial shards [`run`](Simulation::run)
-    /// partitions the topology into (default 1 — the sequential
-    /// reference engine). Values above the node count are clamped.
+    /// Has no effect: returns `self` unchanged.
     ///
-    /// The report is **bit-identical for every shard count**; this
-    /// knob deliberately lives on the `Simulation` and not in
-    /// [`SimConfig`], so the configuration embedded in the
-    /// [`SimReport`] cannot differ between a sequential and a sharded
-    /// run of the same scenario.
+    /// This once set the number of spatial shards a run was split
+    /// into. Every shard count always produced the same bytes, and the
+    /// sharded engine is gone (see the module docs for why). The name
+    /// stays only for the benchmark harness, which still calls it; it
+    /// goes once a benchmark change retires the `smoke-shards2`
+    /// workload and the `grid-full` shard probe.
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Simulation {
-        self.shards = shards.max(1);
+    pub fn with_shards(self, _shards: usize) -> Simulation {
         self
     }
 
@@ -1623,29 +1513,17 @@ impl Simulation {
     }
 
     /// Runs to completion, returning the final world state.
-    fn execute(self) -> (Shared, Vec<&'static str>, Vec<ShardState>) {
+    fn execute(self) -> (Shared, Vec<&'static str>, RunState) {
         let Simulation {
-            mut shared,
-            positions,
+            shared,
             machines,
             network_names,
-            shards,
         } = self;
-        let n = machines.len();
-        let k = shards.min(n).max(1);
-        let plan = crate::shard::ShardPlan::new(&positions, &shared.field, k);
-        plan.apply(&mut shared);
-        let mut built = build_shards(&shared, &plan, machines);
-        for shard in &mut built {
-            seed_and_start(&shared, shard);
-        }
-        if built.len() == 1 {
-            advance(&shared, &mut built[0], u64::MAX, usize::MAX);
-            finish_shard(&shared, &mut built[0]);
-        } else {
-            built = crate::shard::run_parallel(&shared, built);
-        }
-        (shared, network_names, built)
+        let mut run = RunState::new(&shared, machines);
+        seed_and_start(&shared, &mut run);
+        advance(&shared, &mut run);
+        finish(&shared, &mut run);
+        (shared, network_names, run)
     }
 
     /// Runs the simulation to completion and returns the report. On a
@@ -1654,8 +1532,8 @@ impl Simulation {
     /// [`run_coexistence`](Simulation::run_coexistence) for one report
     /// per network.
     pub fn run(self) -> SimReport {
-        let (shared, names, shards) = self.execute();
-        let (per_node, records) = collect_results(&shared, shards);
+        let (shared, names, run) = self.execute();
+        let (per_node, records) = collect_results(&shared, run);
         SimReport::new(names[0], shared.config, shared.sinks[0], per_node, records)
     }
 
@@ -1668,8 +1546,8 @@ impl Simulation {
     ///
     /// On a single-network build this returns `vec![self.run()]`.
     pub fn run_coexistence(self) -> Vec<SimReport> {
-        let (shared, names, shards) = self.execute();
-        let (per_node, records) = collect_results(&shared, shards);
+        let (shared, names, run) = self.execute();
+        let (per_node, records) = collect_results(&shared, run);
         names
             .iter()
             .enumerate()
@@ -1714,109 +1592,33 @@ fn schedules_cover_air(field: &LinkField, decode: &Graph, network_of: &[u32]) ->
     })
 }
 
-/// Builds the per-shard arenas from the plan, moving each node's state
-/// machine into its owning shard.
-fn build_shards(
-    shared: &Shared,
-    plan: &crate::shard::ShardPlan,
-    machines: Vec<Box<dyn MacNode>>,
-) -> Vec<ShardState> {
-    let k = plan.shard_count();
-    // Quiet replay leans on whole-network knowledge (every holder,
-    // every pending sample), which one shard has and several do not;
-    // a second network's traffic is unknown to this one's schedule.
-    let track_quiet =
-        k == 1 && shared.sinks.len() == 1 && shared.config.scheduling == WakeMode::Coarse;
-    let mut slots: Vec<Option<Box<dyn MacNode>>> = machines.into_iter().map(Some).collect();
-    let mut shards = Vec::with_capacity(k);
-    for s in 0..k {
-        let members = plan.members(s).to_vec();
-        let nodes: Vec<NodeState> = members
-            .iter()
-            .map(|u| NodeState::new(&shared.radio_hw, shared.config.seed, u.index()))
-            .collect();
-        let machines: Vec<Box<dyn MacNode>> = members
-            .iter()
-            .map(|u| slots[u.index()].take().expect("each node joins one shard"))
-            .collect();
-        let boundary: Vec<bool> = members
-            .iter()
-            .map(|u| {
-                shared
-                    .field
-                    .receivers(*u)
-                    .iter()
-                    .any(|&(v, _)| shared.shard_of[v.index()] != s as u32)
-            })
-            .collect();
-        let pending = members.iter().map(|_| BinaryHeap::new()).collect();
-        let nodes_len = nodes.len();
-        shards.push(ShardState {
-            id: s as u32,
-            now: SimTime::ZERO,
-            events: HeapQueue::new(),
-            wakes: HeapQueue::new(),
-            members,
-            nodes,
-            machines,
-            air: AirSlab::default(),
-            outbox: Vec::new(),
-            pending,
-            boundary,
-            adj: plan.adjacency(s),
-            deliveries: HashMap::new(),
-            quiet: track_quiet.then(|| QuietLedger {
-                holders: nodes_len,
-                packet_air: 0,
-                generates: BinaryHeap::new(),
-            }),
-        });
-    }
-    shards
-}
-
-/// Merges per-shard results into canonical global order: node stats in
-/// global node order, packet records sorted by `(created, packet id)`
-/// — the order the sequential engine generates them in — with
-/// cross-shard deliveries resolved earliest-first.
-fn collect_results(
-    shared: &Shared,
-    shards: Vec<ShardState>,
-) -> (Vec<NodeStats>, Vec<PacketRecord>) {
-    let n = shared.field.len();
-    let mut per_node: Vec<Option<NodeStats>> = (0..n).map(|_| None).collect();
-    let mut deliveries: HashMap<u64, (SimTime, u32)> = HashMap::new();
+/// The run's results in canonical order: node stats in global node
+/// order, packet records sorted by `(created, packet id)` — creation
+/// order with ties in node order, since same-instant `Generate`s fire
+/// in node order and ids sort by (origin, per-origin counter).
+fn collect_results(shared: &Shared, run: RunState) -> (Vec<NodeStats>, Vec<PacketRecord>) {
+    let RunState {
+        mut nodes,
+        deliveries,
+        ..
+    } = run;
     let mut records: Vec<PacketRecord> = Vec::new();
-    for mut shard in shards {
-        for (id, hit) in shard.deliveries.drain() {
-            // First delivery wins; across shards the earliest time
-            // wins (ties keep the lowest shard, which is iterated
-            // first). Built-in protocols only deliver at the sink, so
-            // exactly one shard ever writes a given id.
-            match deliveries.get(&id) {
-                Some(&(t, _)) if t <= hit.0 => {}
-                _ => {
-                    deliveries.insert(id, hit);
-                }
-            }
-        }
-        for (i, st) in shard.nodes.iter_mut().enumerate() {
-            let node = shard.members[i];
-            per_node[node.index()] = Some(NodeStats {
-                node,
-                depth: shared.depth[node.index()],
+    let per_node: Vec<NodeStats> = nodes
+        .iter_mut()
+        .enumerate()
+        .map(|(u, st)| {
+            records.append(&mut st.records);
+            NodeStats {
+                node: NodeId::new(u),
+                depth: shared.depth[u],
                 breakdown: st.ledger.breakdown(),
                 busy: st.ledger.busy_time(),
                 counters: st.counters,
                 mean_sinr_db: (st.sinr_decoded > 0)
                     .then(|| st.sinr_db_sum / st.sinr_decoded as f64),
-            });
-            records.append(&mut st.records);
-        }
-    }
-    // Creation order with ties in node order: exactly the order the
-    // sequential engine pushes records (same-instant Generates fire in
-    // node order, and ids sort by (origin, per-origin counter)).
+            }
+        })
+        .collect();
     records.sort_by_key(|r| (r.created, r.id.0));
     for r in &mut records {
         if let Some(&(t, hops)) = deliveries.get(&r.id.0) {
@@ -1824,10 +1626,6 @@ fn collect_results(
             r.hops = hops;
         }
     }
-    let per_node: Vec<NodeStats> = per_node
-        .into_iter()
-        .map(|s| s.expect("every node belongs to exactly one shard"))
-        .collect();
     (per_node, records)
 }
 
@@ -2095,7 +1893,6 @@ mod tests {
         holder: Option<usize>,
         talker: Option<usize>,
         scheduling: WakeMode,
-        shards: usize,
         networks: usize,
     ) -> (Vec<Seen>, Vec<SimTime>) {
         let log = Log::default();
@@ -2129,8 +1926,7 @@ mod tests {
             FrameSizes::default(),
             cfg,
         )
-        .expect("buildable probe run")
-        .with_shards(shards);
+        .expect("buildable probe run");
         drop(sim.run());
         let (seen, mut generates) = log.lock().expect("test log").clone();
         generates.sort();
@@ -2140,7 +1936,7 @@ mod tests {
     #[test]
     fn quiet_until_is_the_next_sample_in_a_packet_free_network() {
         let end = SimTime::from_seconds(Seconds::new(20.0));
-        let (seen, generates) = probe_run(None, None, WakeMode::Coarse, 1, 1);
+        let (seen, generates) = probe_run(None, None, WakeMode::Coarse, 1);
         assert!(generates.len() > 20, "samples fired: {}", generates.len());
         let mut ahead = 0;
         for s in &seen {
@@ -2163,14 +1959,14 @@ mod tests {
 
     #[test]
     fn quiet_until_is_now_while_a_packet_is_held_or_on_the_air() {
-        let (seen, _) = probe_run(Some(3), None, WakeMode::Coarse, 1, 1);
+        let (seen, _) = probe_run(Some(3), None, WakeMode::Coarse, 1);
         assert!(!seen.is_empty());
         assert!(
             seen.iter().all(|s| s.quiet == s.now),
             "a holder keeps it noisy"
         );
 
-        let (seen, generates) = probe_run(None, Some(2), WakeMode::Coarse, 1, 1);
+        let (seen, generates) = probe_run(None, Some(2), WakeMode::Coarse, 1);
         let sending = seen
             .iter()
             .find(|s| s.what == "sending")
@@ -2187,41 +1983,13 @@ mod tests {
 
     #[test]
     fn quiet_until_is_now_without_whole_network_knowledge() {
-        for (label, scheduling, shards, networks) in [
-            ("dense", WakeMode::Dense, 1, 1),
-            ("two shards", WakeMode::Coarse, 2, 1),
-            ("two networks", WakeMode::Coarse, 1, 2),
+        for (label, scheduling, networks) in [
+            ("dense", WakeMode::Dense, 1),
+            ("two networks", WakeMode::Coarse, 2),
         ] {
-            let (seen, _) = probe_run(None, None, scheduling, shards, networks);
+            let (seen, _) = probe_run(None, None, scheduling, networks);
             assert!(!seen.is_empty(), "{label}");
             assert!(seen.iter().all(|s| s.quiet == s.now), "{label}");
         }
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential_exactly() {
-        let build = || {
-            Simulation::ring(
-                3,
-                4,
-                &XmacSim::new(Seconds::from_millis(80.0)),
-                tiny_config(),
-            )
-            .unwrap()
-        };
-        let a = build().run();
-        let b = build().with_shards(3).run();
-        assert_eq!(a.delivered_count(), b.delivered_count());
-        let ea: Vec<u64> = a
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value().to_bits())
-            .collect();
-        let eb: Vec<u64> = b
-            .per_node()
-            .iter()
-            .map(|s| s.breakdown.total().value().to_bits())
-            .collect();
-        assert_eq!(ea, eb, "sharded energy must be bit-identical");
     }
 }

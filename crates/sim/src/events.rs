@@ -6,15 +6,15 @@
 //! sequence)` ordering, so there is exactly one tie-break rule in the
 //! engine.
 //!
-//! A transmission is queued once per shard that hears it, not once per
-//! receiver: the frame and its receivers are recorded in the shard's
-//! [`AirSlab`], and a single `AirStart` and a single `AirEnd` entry name
-//! that record. Dispatch walks the receivers in neighbor order.
+//! A transmission is queued once, not once per receiver: the frame and
+//! its receivers are recorded in the run's [`AirSlab`], and a single
+//! `AirStart` and a single `AirEnd` entry name that record. Dispatch
+//! walks the receivers in neighbor order.
 //!
 //! [`HeapQueue`]: crate::queue::HeapQueue
+//! [`OrderKey`]: crate::queue::OrderKey
 
 use crate::frame::Frame;
-use crate::queue::OrderKey;
 use edmac_net::NodeId;
 
 /// Everything that can happen in the simulation.
@@ -38,47 +38,22 @@ pub(crate) enum Event {
     TxDone { node: NodeId },
 }
 
-impl Event {
-    /// The node a per-node event is delivered to (`None` for the air
-    /// batches, whose receivers live in their record). The boundary
-    /// `pending` lookahead keys on it.
-    pub fn node(&self) -> Option<NodeId> {
-        match self {
-            Event::Generate { node }
-            | Event::Timer { node, .. }
-            | Event::RadioReady { node, .. }
-            | Event::TxDone { node } => Some(*node),
-            Event::AirStart { .. } | Event::AirEnd { .. } => None,
-        }
-    }
-}
-
-/// One frame on the air, as one shard hears it.
+/// One frame on the air and the receivers it reaches.
 #[derive(Debug)]
 pub(crate) struct Transmission {
     /// The transmitter's sequence number for this frame.
     pub tx_seq: u64,
     /// The frame itself (`frame.src` is the transmitter).
     pub frame: Frame,
-    /// This shard's receivers, as indices into the transmitter's
-    /// receivers in the realized link field, in that order (each entry
-    /// there carries the received power).
+    /// The receivers, as indices into the transmitter's receivers in
+    /// the realized link field, in that order (each entry there carries
+    /// the received power).
     pub receivers: Vec<u32>,
 }
 
-/// A transmission's record for another shard, with the keys its two
-/// air entries are queued under there: those of its first receiver in
-/// that shard.
-#[derive(Debug)]
-pub(crate) struct AirBatch {
-    pub start: OrderKey,
-    pub end: OrderKey,
-    pub tx: Transmission,
-}
-
-/// The transmissions a shard has on the air, addressed by the `tx`
-/// index of [`Event::AirStart`]/[`Event::AirEnd`]. A record lives from
-/// its `AirStart` until its `AirEnd` batch completes; freed slots keep
+/// The transmissions on the air, addressed by the `tx` index of
+/// [`Event::AirStart`]/[`Event::AirEnd`]. A record lives from its
+/// `AirStart` until its `AirEnd` batch completes; freed slots keep
 /// their receiver buffers for the next transmission.
 #[derive(Debug, Default)]
 pub(crate) struct AirSlab {
@@ -97,23 +72,12 @@ impl AirSlab {
                 debug_assert!(rec.receivers.is_empty());
                 tx
             }
-            None => self.insert(Transmission {
-                tx_seq,
-                frame,
-                receivers: Vec::new(),
-            }),
-        }
-    }
-
-    /// Stores a record built elsewhere (another shard's batch).
-    pub fn insert(&mut self, record: Transmission) -> u32 {
-        match self.free.pop() {
-            Some(tx) => {
-                self.records[tx as usize] = record;
-                tx
-            }
             None => {
-                self.records.push(record);
+                self.records.push(Transmission {
+                    tx_seq,
+                    frame,
+                    receivers: Vec::new(),
+                });
                 (self.records.len() - 1) as u32
             }
         }
@@ -147,17 +111,6 @@ mod tests {
     use crate::frame::FrameKind;
     use crate::queue::Entry;
     use std::cmp::Reverse;
-
-    #[test]
-    fn event_node_extraction() {
-        let e = Event::Timer {
-            node: NodeId::new(4),
-            id: 1,
-            tag: 2,
-        };
-        assert_eq!(e.node(), Some(NodeId::new(4)));
-        assert_eq!(Event::AirEnd { tx: 3 }.node(), None);
-    }
 
     #[test]
     fn queue_entries_stay_small() {

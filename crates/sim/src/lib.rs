@@ -23,13 +23,13 @@
 //!   energy breakdowns.
 //!
 //! Everything is seeded and deterministic: the same
-//! [`SimConfig::seed`] reproduces the same run bit-for-bit — including
-//! through [`Simulation::with_shards`], which partitions the realized
-//! topology into spatial shards and runs them conservatively in
-//! parallel under wake-derived time bounds. A sharded run produces the
-//! *same* [`SimReport`] as the sequential engine, byte for byte; the
-//! shard count is purely a wall-clock knob (see the README's
-//! "Simulator architecture" section for the synchronization contract).
+//! [`SimConfig::seed`] reproduces the same [`SimReport`] bit-for-bit.
+//! There is one sequential engine. A conservative-parallel sharded
+//! engine used to run next to it; it never ran two shards at once
+//! often enough to pay for its coordination (two shards made the smoke
+//! study 88× slower on a 2-core machine) and was deleted, and
+//! [`Simulation::with_shards`] is now a no-op (see the README's
+//! "Simulator architecture" section).
 //!
 //! Protocols are configured through the object-safe [`SimProtocol`]
 //! trait — [`XmacSim`], [`DmacSim`], [`LmacSim`] and [`ScpSim`] are the
@@ -66,7 +66,6 @@ mod protocol;
 mod protocols;
 pub mod queue;
 mod report;
-mod shard;
 mod time;
 
 pub use engine::{

@@ -64,10 +64,10 @@ pub(crate) mod xmac;
 ///   the same global predicate evaluated at the same instant (an LMAC
 ///   slot owner and its parent both decide at the slot's wake).
 ///
-/// Implementations must be `Send`: the sharded engine moves each
-/// node's state machine onto its shard's worker thread. Nodes are
-/// plain data (queues, counters, schedule parameters), so this is a
-/// bound in name only.
+/// Implementations must be `Send`, so a built
+/// [`Simulation`](crate::Simulation) can be handed to another thread.
+/// Nodes are plain data (queues, counters, schedule parameters), so
+/// this is a bound in name only.
 pub trait MacNode: std::fmt::Debug + Send {
     /// Called once at simulation start.
     fn start(&mut self, ctx: &mut Ctx<'_>);

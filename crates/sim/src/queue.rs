@@ -1,7 +1,7 @@
 //! The engine's priority queue: one named ordering key and one
 //! binary-heap queue over it.
 //!
-//! Both engine queues — the per-shard wake schedule and the air-event
+//! Both engine queues — the wake schedule and the air-event
 //! scheduler — are [`HeapQueue`]s keyed by [`OrderKey`], so the
 //! tie-break policy is written down exactly once. A bucketed calendar
 //! queue and a single merged wake+event heap were both measured slower
@@ -25,13 +25,12 @@ use std::collections::BinaryHeap;
 ///   everything already pending at an instant is processed before
 ///   anything spawned *during* that instant (e.g. a strobe's `TxDone`
 ///   fires before the receiver's same-instant early-ack `AirStart`
-///   reaches the transmitter). Round is intrinsic causal depth, so it
-///   is identical in every sharding.
+///   reaches the transmitter).
 /// * `node` — the *global* index of the owning node: the woken node
 ///   for wake entries, the scheduling node for events. Breaking time
 ///   ties on the global node index (never on a queue-global insertion
-///   counter) is what makes the order independent of how the
-///   simulation is sharded.
+///   counter) is what makes the order independent of the order in
+///   which entries were inserted.
 /// * `seq` — a per-node monotone sequence (the wake token for wakes,
 ///   the node's event counter for events), ordering a node's
 ///   same-instant insertions among themselves.

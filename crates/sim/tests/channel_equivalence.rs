@@ -3,8 +3,8 @@
 //! off, and the interference floor raised to the sensitivity threshold
 //! — must reproduce the [`UnitDisk`] run **bit for bit**
 //! (`common::assert_identical`, the SINR diagnostic included: with
-//! capture off no decode carries a SINR sample), across wake modes and
-//! shard counts.
+//! capture off no decode carries a SINR sample), across wake modes,
+//! protocols and topologies.
 
 mod common;
 
@@ -44,19 +44,14 @@ fn protocols() -> [Box<dyn SimProtocol>; 4] {
 }
 
 /// Runs the unit-disk reference and the degenerate build over one
-/// topology × protocol × mode × shard-count cell.
+/// topology × protocol × mode cell.
 fn assert_degenerate_cell(
     topo: &Topology,
     protocol: &dyn SimProtocol,
     cfg: SimConfig,
-    shards: usize,
     label: &str,
 ) {
-    let run = |channel: &dyn ChannelModel| {
-        build(topo, protocol, channel, cfg)
-            .with_shards(shards)
-            .run()
-    };
+    let run = |channel: &dyn ChannelModel| build(topo, protocol, channel, cfg).run();
     let reference = run(&UnitDisk);
     // Capture off: no decode carries a SINR sample.
     assert!(reference
@@ -73,15 +68,12 @@ fn degenerate_channel_matches_unit_disk_on_ring_matrix() {
         let mut rng = StdRng::seed_from_u64(7);
         let topo = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
         for mode in [WakeMode::Coarse, WakeMode::Dense] {
-            for shards in [1, 3] {
-                assert_degenerate_cell(
-                    &topo,
-                    protocol.as_ref(),
-                    config(7, mode),
-                    shards,
-                    &format!("{} ring {mode:?} shards={shards}", protocol.name()),
-                );
-            }
+            assert_degenerate_cell(
+                &topo,
+                protocol.as_ref(),
+                config(7, mode),
+                &format!("{} ring {mode:?}", protocol.name()),
+            );
         }
     }
 }
@@ -91,15 +83,12 @@ fn degenerate_channel_matches_unit_disk_on_disks() {
     let mut rng = StdRng::seed_from_u64(33);
     let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
     for protocol in &protocols() {
-        for shards in [1, 4] {
-            assert_degenerate_cell(
-                &topo,
-                protocol.as_ref(),
-                config(11, WakeMode::Coarse),
-                shards,
-                &format!("{} disk shards={shards}", protocol.name()),
-            );
-        }
+        assert_degenerate_cell(
+            &topo,
+            protocol.as_ref(),
+            config(11, WakeMode::Coarse),
+            &format!("{} disk", protocol.name()),
+        );
     }
 }
 
@@ -125,7 +114,6 @@ proptest! {
                 &topo,
                 &protocol,
                 cfg,
-                2,
                 &format!("proptest topo={topo_seed} seed={run_seed} {mode:?}"),
             );
         }

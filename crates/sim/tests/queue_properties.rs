@@ -4,7 +4,7 @@
 //! exactly [`OrderKey`]'s total order, which a sorted `Vec` spells out
 //! directly.
 //!
-//! Both engine queues (the per-shard wake schedule and the air-event
+//! Both engine queues (the wake schedule and the air-event
 //! scheduler) are `HeapQueue`s: the wake queue is `HeapQueue<()>` keyed
 //! by wake tokens, the event queue is `HeapQueue<Event>` keyed by
 //! per-node event counters. Payloads never influence the order, so a

@@ -165,6 +165,38 @@ fn coarse_equals_dense_under_burst_windows() {
 }
 
 #[test]
+fn coarse_equals_dense_on_hotspot_disks() {
+    // Non-uniform traffic with synchronized bursts: a quarter of the
+    // sources at a third of the period, plus 4x windows, so the
+    // per-node sampling streams and the burst clock both decide when a
+    // quiet stretch ends.
+    let mut rng = StdRng::seed_from_u64(57);
+    let topo = Topology::uniform_disk(30, 2.0, &mut rng).expect("connected disk");
+    let n = topo.len();
+    let mut traffic = TrafficProfile::uniform(n, Seconds::new(15.0)).with_bursts(BurstWindows {
+        every: Seconds::new(20.0),
+        duration: Seconds::new(5.0),
+        factor: 4.0,
+    });
+    for i in (0..n).step_by(4) {
+        traffic.periods[i] = Seconds::new(5.0);
+    }
+    for protocol in &protocols() {
+        let run = |mode| {
+            build(&topo, protocol.as_ref(), &UnitDisk, config(23, mode))
+                .with_traffic(traffic.clone())
+                .expect("valid profile")
+                .run()
+        };
+        assert_identical(
+            &run(WakeMode::Coarse),
+            &run(WakeMode::Dense),
+            &format!("{} hotspot disk", protocol.name()),
+        );
+    }
+}
+
+#[test]
 fn coarse_equals_dense_when_the_horizon_cuts_a_quiet_window() {
     // Samples every 100 s leave the network quiet for most of a 20 s
     // run. Sixteen horizons spread over one period of each protocol's

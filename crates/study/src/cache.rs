@@ -6,7 +6,7 @@
 //! coordinates), the per-cell seed, the solve requirements, the
 //! protocol name plus its derived [`ProtocolConfig`], the validation
 //! intent, and the schema/model versions ([`SchemaVersions`]) — and
-//! nothing it does not (thread count, shard count, grid position).
+//! nothing it does not (thread count, grid position).
 //! Two consequences, both load-bearing:
 //!
 //! * a model or schema change re-runs exactly the cells it

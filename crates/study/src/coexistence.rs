@@ -20,7 +20,7 @@
 //!
 //! Artifacts (`coexistence_cells.csv`, `coexistence_summary.json`)
 //! follow the study crate's schema-versioned, byte-deterministic
-//! conventions and are invariant under the simulator's shard count.
+//! conventions.
 
 use std::fmt::Write as _;
 use std::io;
@@ -75,8 +75,11 @@ pub struct CoexistenceConfig {
     pub sim_horizon: Seconds,
     /// Scenario seed (topology realization and traffic phases).
     pub seed: u64,
-    /// Shard count for the conservative-sync engine. Pure execution
-    /// strategy: the artifacts are byte-identical for every value.
+    /// Has no effect. It once set the simulator's shard count, and
+    /// every value always produced the same bytes; the sharded engine
+    /// is gone. The field stays only for the benchmark harness, which
+    /// still sets it, and goes once a benchmark change retires the
+    /// `smoke-shards2` workload and the `grid-full` shard probe.
     pub shards: usize,
 }
 
@@ -243,9 +246,8 @@ fn enumerate_profiles(networks: usize, scales: usize) -> Vec<Vec<usize>> {
 /// iterated best response, and the welfare comparison against the
 /// joint planner.
 ///
-/// Deterministic in the config (and in particular independent of
-/// `shards`): the same input always produces byte-identical
-/// artifacts.
+/// Deterministic in the config: the same input always produces
+/// byte-identical artifacts.
 ///
 /// # Errors
 ///
@@ -337,7 +339,7 @@ pub fn run_coexistence_study(cfg: &CoexistenceConfig) -> Result<CoexistenceOutco
         let sim = scenario
             .simulation(&refs, &channel, sim_config)
             .map_err(|e| format!("profile {profile:?}: {e}"))?;
-        let reports = sim.with_shards(cfg.shards).run_coexistence();
+        let reports = sim.run_coexistence();
         let networks: Vec<NetworkMeasure> = reports
             .iter()
             .map(|r| measure(r, &cfg.requirements))
@@ -643,24 +645,6 @@ mod tests {
             json.matches('{').count(),
             json.matches('}').count(),
             "unbalanced summary JSON"
-        );
-    }
-
-    #[test]
-    fn artifacts_are_byte_identical_across_shard_counts() {
-        let sequential = run_coexistence_study(&CoexistenceConfig::smoke()).unwrap();
-        let sharded = run_coexistence_study(&CoexistenceConfig {
-            shards: 2,
-            ..CoexistenceConfig::smoke()
-        })
-        .unwrap();
-        assert_eq!(
-            coexistence_cells_csv(&sequential),
-            coexistence_cells_csv(&sharded)
-        );
-        assert_eq!(
-            coexistence_summary_json(&sequential),
-            coexistence_summary_json(&sharded)
         );
     }
 }

@@ -21,22 +21,35 @@ use std::fmt::Write as _;
 /// Quotes and escapes one JSON string literal (quotes included).
 pub fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_jstr(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string literal. Runs
+/// of bytes that need no escape are copied as one slice; every byte
+/// that does is ASCII, so the runs always end on character boundaries.
+fn push_jstr(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !(b == b'"' || b == b'\\' || b < 0x20) {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
-    out
 }
 
 /// Renders a usize slice as a JSON array (manifest grid axes).
@@ -139,7 +152,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(token) => out.push_str(token),
-            Json::Str(s) => out.push_str(&jstr(s)),
+            Json::Str(s) => push_jstr(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -156,7 +169,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&jstr(key));
+                    push_jstr(out, key);
                     out.push(':');
                     value.render_into(out);
                 }
@@ -444,51 +457,52 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape as one slice
+            // of the already-validated text. Both delimiters are ASCII,
+            // so a run that starts on a character boundary ends on one.
+            let start = self.pos;
+            while self
+                .bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or("string not on a character boundary")?,
+            );
             let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("dangling escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| "non-UTF8 \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape '{hex}'"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape '\\{}'", char::from(other))),
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            // `b` opened an escape.
+            let esc = *self.bytes.get(self.pos).ok_or("dangling escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "non-UTF8 \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape '{hex}'"))?;
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| format!("invalid codepoint {code:#x}"))?,
+                    );
+                    self.pos += 4;
                 }
-                _ => {
-                    // Re-borrow the full UTF-8 character from the
-                    // already-validated text; validating the rest of
-                    // the input here would make long strings quadratic.
-                    self.pos -= 1;
-                    let c = self
-                        .text
-                        .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or("string not on a character boundary")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(format!("bad escape '\\{}'", char::from(other))),
             }
         }
     }

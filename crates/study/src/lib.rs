@@ -108,10 +108,13 @@ pub struct StudyConfig {
     pub sim_horizon: Seconds,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
-    /// Shard count for each validation simulation (1 = sequential).
-    /// The sharded engine is bit-identical to the sequential one, so
-    /// this trades wall-clock for threads without touching any
-    /// artifact byte.
+    /// Has no effect. It once set the shard count of each validation
+    /// simulation, and every value always produced the same bytes; the
+    /// sharded engine is gone. The field stays only for the benchmark
+    /// harness, which still sets it, and for the manifest's v1 layout,
+    /// which records it so existing manifests still resume. It goes
+    /// once a benchmark change retires the `smoke-shards2` workload and
+    /// the `grid-full` shard probe.
     pub shards: usize,
     /// The protocol panel, as registry names resolved against
     /// [`edmac_proto::ProtocolRegistry::builtin`] (default: the paper

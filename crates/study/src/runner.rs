@@ -141,9 +141,11 @@ fn verify_resume(
     keys: &[CacheKey],
 ) -> io::Result<()> {
     let err = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-    // Threads and shards are execution knobs, proven byte-invariant
-    // (see the invariance tests below) and absent from the content
-    // keys — a resume may legitimately pick different ones.
+    // Threads are an execution knob, proven byte-invariant (see the
+    // invariance test below) and absent from the content keys — a
+    // resume may legitimately pick a different count. The no-op
+    // `shards` field is ignored the same way, so a manifest recorded
+    // with any shard count still resumes.
     let mut pinned = existing.config.clone();
     pinned.threads = config.threads;
     pinned.shards = config.shards;
@@ -309,7 +311,7 @@ pub fn run_study(config: &StudyConfig, options: &RunOptions) -> io::Result<Study
                     let mut outcome = solve_cell(cell, model.as_ref(), config.requirements);
                     if validation_intent(config, grid_work).is_some() && outcome.solved() {
                         outcome.validation =
-                            validate_cell(cell, &outcome, suite, config.sim_horizon, config.shards);
+                            validate_cell(cell, &outcome, suite, config.sim_horizon, 1);
                     }
                     if let Some(cache) = cache {
                         if let Err(e) = cache.store(&keys[work], &outcome) {
@@ -475,58 +477,42 @@ mod tests {
 
     #[test]
     fn smoke_run_is_thread_count_invariant() {
-        let mut one = StudyConfig::smoke();
-        one.threads = 1;
-        one.validate_every = 0; // keep the test fast: no simulations
-        let mut many = one.clone();
-        many.threads = 4;
-        let a = super::run_cells(&one);
-        let b = super::run_cells(&many);
-        // Debug strings: NaN placeholders compare equal, unlike the
-        // IEEE `PartialEq` they would fail under.
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "results must not depend on the worker count"
-        );
-        assert_eq!(a.len(), one.grid.scenario_count() * crate::PROTOCOLS);
-    }
-
-    #[test]
-    fn smoke_run_is_shard_count_invariant() {
-        // The validation simulations are the only study stage that
-        // touches the sharded engine; a short horizon and a sparse
-        // stride keep this to a few sims while still proving the
-        // artifact bytes cannot depend on shard or worker count.
+        // A short horizon and a sparse stride keep this to a few
+        // validation simulations while still proving the artifact
+        // bytes cannot depend on the worker count.
         let mut base = StudyConfig::smoke();
         base.validate_every = 16;
         base.sim_horizon = edmac_units::Seconds::new(60.0);
         base.threads = 1;
-        base.shards = 1;
         let reference = super::run_cells(&base);
+        assert_eq!(
+            reference.len(),
+            base.grid.scenario_count() * crate::PROTOCOLS
+        );
         assert!(
             reference.iter().any(|o| o.validation.is_some()),
             "stride must validate at least one cell"
         );
-        for (threads, shards) in [(4, 1), (1, 3), (2, 4)] {
+        for threads in [4, 2] {
             let mut config = base.clone();
             config.threads = threads;
-            config.shards = shards;
             let outcomes = super::run_cells(&config);
+            // Debug strings: NaN placeholders compare equal, unlike the
+            // IEEE `PartialEq` they would fail under.
             assert_eq!(
                 format!("{reference:?}"),
                 format!("{outcomes:?}"),
-                "outcomes must not depend on threads={threads} shards={shards}"
+                "outcomes must not depend on threads={threads}"
             );
             assert_eq!(
                 crate::cells_csv(&reference),
                 crate::cells_csv(&outcomes),
-                "study_cells.csv must not depend on threads={threads} shards={shards}"
+                "study_cells.csv must not depend on threads={threads}"
             );
             assert_eq!(
                 crate::validation_csv(&reference),
                 crate::validation_csv(&outcomes),
-                "study_validation.csv must not depend on threads={threads} shards={shards}"
+                "study_validation.csv must not depend on threads={threads}"
             );
         }
     }
