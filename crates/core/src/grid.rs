@@ -9,6 +9,7 @@
 //! draw is independent of every other's).
 
 use crate::scenario::{Scenario, TopologySpec, TrafficSpec};
+use edmac_net::splitmix64;
 use edmac_units::Seconds;
 
 /// The topology/traffic preset families the grid spans.
@@ -89,15 +90,6 @@ pub struct GridCell {
     pub burst_duty: f64,
     /// Deterministic seed for this cell's topology/simulation draws.
     pub seed: u64,
-}
-
-/// SplitMix64: the per-cell seed derivation (one multiply-xor chain, so
-/// neighboring indices get statistically unrelated seeds).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Field radius holding the disk presets at the density of the
@@ -205,121 +197,118 @@ impl StudyGrid {
     /// cell index.
     pub fn cells(&self) -> Vec<GridCell> {
         let mut cells = Vec::with_capacity(self.scenario_count());
-        let push = |scenario: Scenario,
-                    preset: PresetKind,
-                    nodes: usize,
-                    depth: usize,
-                    hotspot_factor: f64,
-                    burst_duty: f64,
-                    cells: &mut Vec<GridCell>| {
-            let index = cells.len();
+        for &depth in &self.ring_depths {
+            for &density in &self.ring_densities {
+                cells.push(self.preset_cell(PresetKind::Ring, depth, density, 0, 1.0, 0.0));
+            }
+        }
+        for &nodes in &self.disk_nodes {
+            cells.push(self.preset_cell(PresetKind::UniformDisk, 0, 0, nodes, 1.0, 0.0));
+        }
+        for &nodes in &self.hotspot_nodes {
+            for &factor in &self.hotspot_factors {
+                cells.push(self.preset_cell(PresetKind::HotspotDisk, 0, 0, nodes, factor, 0.0));
+            }
+        }
+        for &nodes in &self.burst_nodes {
+            for &duty in &self.burst_duties {
+                cells.push(self.preset_cell(PresetKind::BurstDisk, 0, 0, nodes, 1.0, duty));
+            }
+        }
+        for (index, cell) in cells.iter_mut().enumerate() {
             // Random-topology draws can come out disconnected; probe a
             // deterministic seed chain until one connects so the grid
             // never has holes, yet stays bit-reproducible. (Ring and
             // line realizations ignore the seed entirely.)
             let mut seed = splitmix64(self.seed_base ^ ((index as u64) << 20));
             for _ in 0..64 {
-                if scenario.topology.realize(seed).is_ok() {
+                if cell.scenario.topology.realize(seed).is_ok() {
                     break;
                 }
                 seed = splitmix64(seed);
             }
-            cells.push(GridCell {
-                index,
-                scenario,
-                preset,
-                nodes,
-                depth,
-                hotspot_factor,
-                burst_duty,
-                seed,
-            });
+            cell.index = index;
+            cell.seed = seed;
+        }
+        cells
+    }
+
+    /// The cell of `preset` at one point on its axes, built with this
+    /// grid's sampling period and hotspot and burst parameters: the one
+    /// place a preset's scenario is assembled, so the enumerator and a
+    /// planning request that names the same point build the same cell.
+    ///
+    /// A ring takes `depth` and `density` and derives its node count;
+    /// the disk families take `nodes`. `hotspot_factor` and
+    /// `burst_duty` apply to their own family only: the cell records 1
+    /// and 0 elsewhere, and depth 0 off the ring. The cell's index and
+    /// seed are 0, for the caller to assign.
+    pub fn preset_cell(
+        &self,
+        preset: PresetKind,
+        depth: usize,
+        density: usize,
+        nodes: usize,
+        hotspot_factor: f64,
+        burst_duty: f64,
+    ) -> GridCell {
+        let disk = TopologySpec::UniformDisk {
+            nodes,
+            field_radius: disk_radius(nodes),
         };
-        for &depth in &self.ring_depths {
-            for &density in &self.ring_densities {
+        let (scenario, nodes, depth, hotspot_factor, burst_duty) = match preset {
+            PresetKind::Ring => {
                 // Ring node count: sink + C·d per ring d = 1 + C·D(D+1)/2.
                 let nodes = 1 + density * depth * (depth + 1) / 2;
-                push(
-                    Scenario::ring(depth, density, self.sample_period),
-                    PresetKind::Ring,
-                    nodes,
-                    depth,
-                    1.0,
-                    0.0,
-                    &mut cells,
-                );
+                let scenario = Scenario::ring(depth, density, self.sample_period);
+                (scenario, nodes, depth, 1.0, 0.0)
             }
-        }
-        for &nodes in &self.disk_nodes {
-            push(
-                Scenario {
+            PresetKind::UniformDisk => {
+                let scenario = Scenario {
                     name: format!("disk_n{nodes}"),
-                    topology: TopologySpec::UniformDisk {
-                        nodes,
-                        field_radius: disk_radius(nodes),
-                    },
+                    topology: disk,
                     traffic: TrafficSpec::Uniform {
                         sample_period: self.sample_period,
                     },
-                },
-                PresetKind::UniformDisk,
-                nodes,
-                0,
-                1.0,
-                0.0,
-                &mut cells,
-            );
-        }
-        for &nodes in &self.hotspot_nodes {
-            for &factor in &self.hotspot_factors {
-                push(
-                    Scenario {
-                        name: format!("hotspot_n{nodes}_f{factor}"),
-                        topology: TopologySpec::UniformDisk {
-                            nodes,
-                            field_radius: disk_radius(nodes),
-                        },
-                        traffic: TrafficSpec::Hotspot {
-                            sample_period: self.sample_period,
-                            factor,
-                            fraction: self.hotspot_fraction,
-                        },
-                    },
-                    PresetKind::HotspotDisk,
-                    nodes,
-                    0,
-                    factor,
-                    0.0,
-                    &mut cells,
-                );
+                };
+                (scenario, nodes, 0, 1.0, 0.0)
             }
-        }
-        for &nodes in &self.burst_nodes {
-            for &duty in &self.burst_duties {
-                push(
-                    Scenario {
-                        name: format!("burst_n{nodes}_d{duty}"),
-                        topology: TopologySpec::UniformDisk {
-                            nodes,
-                            field_radius: disk_radius(nodes),
-                        },
-                        traffic: TrafficSpec::EventBurst {
-                            sample_period: self.sample_period,
-                            factor: self.burst_factor,
-                            every: self.burst_every,
-                            duration: Seconds::new(self.burst_every.value() * duty),
-                        },
+            PresetKind::HotspotDisk => {
+                let scenario = Scenario {
+                    name: format!("hotspot_n{nodes}_f{hotspot_factor}"),
+                    topology: disk,
+                    traffic: TrafficSpec::Hotspot {
+                        sample_period: self.sample_period,
+                        factor: hotspot_factor,
+                        fraction: self.hotspot_fraction,
                     },
-                    PresetKind::BurstDisk,
-                    nodes,
-                    0,
-                    1.0,
-                    duty,
-                    &mut cells,
-                );
+                };
+                (scenario, nodes, 0, hotspot_factor, 0.0)
             }
+            PresetKind::BurstDisk => {
+                let scenario = Scenario {
+                    name: format!("burst_n{nodes}_d{burst_duty}"),
+                    topology: disk,
+                    traffic: TrafficSpec::EventBurst {
+                        sample_period: self.sample_period,
+                        factor: self.burst_factor,
+                        every: self.burst_every,
+                        duration: Seconds::new(self.burst_every.value() * burst_duty),
+                    },
+                };
+                (scenario, nodes, 0, 1.0, burst_duty)
+            }
+        };
+        GridCell {
+            index: 0,
+            scenario,
+            preset,
+            nodes,
+            depth,
+            hotspot_factor,
+            burst_duty,
+            seed: 0,
         }
-        cells
     }
 }
 

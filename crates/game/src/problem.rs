@@ -80,14 +80,6 @@ impl BargainingProblem {
         self.disagreement
     }
 
-    /// Returns `true` if some outcome strictly improves on `v` for both
-    /// players — the existence condition of the Nash solution.
-    pub fn has_gain_region(&self) -> bool {
-        self.feasible
-            .iter()
-            .any(|p| p.strictly_dominates(self.disagreement))
-    }
-
     /// The **Nash Bargaining Solution**: the outcome maximizing the
     /// product of gains `(v₁ − c₁)(v₂ − c₂)` among outcomes improving on
     /// `v` for both players. Ties break toward the earlier index
@@ -314,7 +306,6 @@ mod tests {
             CostPoint::new(2.0, 2.0),
         )
         .unwrap();
-        assert!(!game.has_gain_region());
         assert_eq!(game.nash().unwrap_err(), GameError::NoGainRegion);
         assert_eq!(
             game.kalai_smorodinsky().unwrap_err(),

@@ -40,11 +40,6 @@ impl Point2 {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Distance from the origin.
-    pub fn norm(self) -> f64 {
-        self.distance(Point2::ORIGIN)
-    }
 }
 
 impl std::fmt::Display for Point2 {
@@ -104,7 +99,6 @@ mod tests {
         let b = Point2::new(3.0, 4.0);
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
         assert!((a.distance_squared(b) - 25.0).abs() < 1e-12);
-        assert!((b.norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -119,7 +113,10 @@ mod tests {
         for k in 0..8 {
             let angle = k as f64 * std::f64::consts::FRAC_PI_4;
             let p = Point2::polar(2.5, angle);
-            assert!((p.norm() - 2.5).abs() < 1e-12, "angle {angle}");
+            assert!(
+                (p.distance(Point2::ORIGIN) - 2.5).abs() < 1e-12,
+                "angle {angle}"
+            );
         }
     }
 }

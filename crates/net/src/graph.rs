@@ -147,71 +147,6 @@ impl Graph {
         }
     }
 
-    /// Single-source shortest paths under a non-negative edge weight
-    /// function (Dijkstra). Returns per-node distances (`None` =
-    /// unreachable) and predecessors on a shortest path tree.
-    ///
-    /// Hop-count routing ([`bfs_distances`](Graph::bfs_distances)) is
-    /// what the paper's model assumes; weighted variants support
-    /// energy- or quality-aware routing studies on the same graphs.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `weight` returns a negative or
-    /// non-finite value.
-    pub fn dijkstra<W: Fn(NodeId, NodeId) -> f64>(
-        &self,
-        source: NodeId,
-        weight: W,
-    ) -> (Vec<Option<f64>>, Vec<Option<NodeId>>) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// f64 ordered for the heap; weights are checked non-NaN.
-        #[derive(PartialEq)]
-        struct Cost(f64);
-        impl Eq for Cost {}
-        impl PartialOrd for Cost {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Cost {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&other.0)
-            }
-        }
-
-        let n = self.len();
-        let mut dist: Vec<Option<f64>> = vec![None; n];
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        if source.index() >= n {
-            return (dist, prev);
-        }
-        let mut heap: BinaryHeap<Reverse<(Cost, usize)>> = BinaryHeap::new();
-        dist[source.index()] = Some(0.0);
-        heap.push(Reverse((Cost(0.0), source.index())));
-        while let Some(Reverse((Cost(d), u))) = heap.pop() {
-            if dist[u].is_some_and(|best| d > best) {
-                continue; // stale entry
-            }
-            for &v in self.neighbors(NodeId::new(u)) {
-                let w = weight(NodeId::new(u), v);
-                debug_assert!(
-                    w.is_finite() && w >= 0.0,
-                    "edge weight must be finite and non-negative, got {w}"
-                );
-                let candidate = d + w;
-                if dist[v.index()].is_none_or(|best| candidate < best) {
-                    dist[v.index()] = Some(candidate);
-                    prev[v.index()] = Some(NodeId::new(u));
-                    heap.push(Reverse((Cost(candidate), v.index())));
-                }
-            }
-        }
-        (dist, prev)
-    }
-
     /// The set of nodes within `radius` hops of `node` (excluding the
     /// node itself), used for distance-2 coloring.
     pub fn neighborhood(&self, node: NodeId, radius: usize) -> Vec<NodeId> {
@@ -305,46 +240,6 @@ mod tests {
     fn neighborhood_radius_zero_is_empty() {
         let g = path_graph(3);
         assert!(g.neighborhood(NodeId::new(1), 0).is_empty());
-    }
-
-    #[test]
-    fn dijkstra_unit_weights_match_bfs() {
-        let g = path_graph(6);
-        let (dist, prev) = g.dijkstra(NodeId::new(0), |_, _| 1.0);
-        let bfs = g.bfs_distances(NodeId::new(0));
-        for i in 0..6 {
-            assert_eq!(dist[i].map(|d| d as usize), bfs[i]);
-        }
-        assert_eq!(prev[3], Some(NodeId::new(2)));
-    }
-
-    #[test]
-    fn dijkstra_prefers_cheap_detours() {
-        // Triangle 0-1-2 plus direct edge 0-2: direct edge weight 10,
-        // detour through 1 costs 2.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1));
-        g.add_edge(NodeId::new(1), NodeId::new(2));
-        g.add_edge(NodeId::new(0), NodeId::new(2));
-        let heavy_direct = |a: NodeId, b: NodeId| {
-            if a.index() + b.index() == 2 && a != b {
-                10.0
-            } else {
-                1.0
-            }
-        };
-        let (dist, prev) = g.dijkstra(NodeId::new(0), heavy_direct);
-        assert_eq!(dist[2], Some(2.0), "detour beats the heavy direct edge");
-        assert_eq!(prev[2], Some(NodeId::new(1)));
-    }
-
-    #[test]
-    fn dijkstra_marks_unreachable() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1));
-        let (dist, prev) = g.dijkstra(NodeId::new(0), |_, _| 1.0);
-        assert_eq!(dist[2], None);
-        assert_eq!(prev[2], None);
     }
 
     #[test]

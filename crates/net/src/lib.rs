@@ -71,3 +71,14 @@ pub use rings::RingModel;
 pub use topology::Topology;
 pub use traffic::{RingTraffic, TreeTraffic};
 pub use tree::RoutingTree;
+
+/// SplitMix64 finalizer: the workspace's one stateless 64-bit mixer,
+/// behind per-cell seeds, per-node RNG streams and per-link shadowing
+/// draws alike (one multiply-xor chain, so neighboring inputs map to
+/// statistically unrelated outputs).
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

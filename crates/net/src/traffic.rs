@@ -99,11 +99,6 @@ impl RingTraffic {
     pub fn bottleneck_ring(&self) -> usize {
         1
     }
-
-    /// The ring with the largest end-to-end distance (always ring `D`).
-    pub fn farthest_ring(&self) -> usize {
-        self.model.depth()
-    }
 }
 
 /// Per-node traffic flows on an explicit [`RoutingTree`], the simulator's

@@ -141,17 +141,6 @@ impl RoutingTree {
             .map(NodeId::new)
             .collect()
     }
-
-    /// The hop path from `node` to the sink (inclusive of both).
-    pub fn path_to_sink(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -209,16 +198,6 @@ mod tests {
             vec![NodeId::new(3), NodeId::new(4), NodeId::new(5)]
         );
         assert_eq!(t.max_depth(), 2);
-    }
-
-    #[test]
-    fn path_to_sink_walks_parents() {
-        let (_, t) = diamond();
-        assert_eq!(
-            t.path_to_sink(NodeId::new(4)),
-            vec![NodeId::new(4), NodeId::new(1), NodeId::new(0)]
-        );
-        assert_eq!(t.path_to_sink(NodeId::new(0)), vec![NodeId::new(0)]);
     }
 
     #[test]

@@ -34,18 +34,12 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-use edmac_net::{each_pair_within, Graph, NodeId, Point2};
+use edmac_net::{each_pair_within, splitmix64, Graph, NodeId, Point2};
 
 /// Convert a power in dBm to linear milliwatts.
 #[inline]
 pub fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
-}
-
-/// Convert a linear power in milliwatts to dBm.
-#[inline]
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    10.0 * mw.log10()
 }
 
 /// The SINR decode parameters a realized channel hands the engine,
@@ -404,14 +398,6 @@ impl ChannelModel for SinrChannel {
     fn sinr(&self) -> SinrParams {
         self.params()
     }
-}
-
-/// SplitMix64 finalizer — the workspace's standard stateless mixer.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic N(0, σ²) shadowing draw for the *directed* pair

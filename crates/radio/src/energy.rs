@@ -2,7 +2,7 @@
 //! accumulates it.
 
 use crate::hardware::{Mode, PowerProfile};
-use edmac_units::{Joules, Seconds, Watts};
+use edmac_units::{Joules, Seconds};
 
 /// Why the radio was consuming energy.
 ///
@@ -245,12 +245,6 @@ impl EnergyLedger {
         }
     }
 
-    /// Convenience: charges a duration in [`Mode::Sleep`] to
-    /// [`Cause::Sleep`].
-    pub fn charge_sleep(&mut self, duration: Seconds) {
-        self.charge(Mode::Sleep, Cause::Sleep, duration);
-    }
-
     /// The accumulated breakdown so far.
     pub fn breakdown(&self) -> EnergyBreakdown {
         self.breakdown
@@ -259,11 +253,6 @@ impl EnergyLedger {
     /// Total time charged in non-sleep modes (for duty-cycle reporting).
     pub fn busy_time(&self) -> Seconds {
         self.busy_time
-    }
-
-    /// Average power if the charges span `window`.
-    pub fn average_power(&self, window: Seconds) -> Watts {
-        self.breakdown.total() / window
     }
 
     /// The profile this ledger charges against.
@@ -335,17 +324,9 @@ mod tests {
     #[test]
     fn sleep_does_not_count_as_busy() {
         let mut ledger = EnergyLedger::new(PowerProfile::cc2420());
-        ledger.charge_sleep(Seconds::new(100.0));
+        ledger.charge(Mode::Sleep, Cause::Sleep, Seconds::new(100.0));
         assert_eq!(ledger.busy_time(), Seconds::ZERO);
         assert!(ledger.breakdown().sleep.value() > 0.0);
-    }
-
-    #[test]
-    fn average_power_is_total_over_window() {
-        let mut ledger = EnergyLedger::new(PowerProfile::cc2420());
-        ledger.charge(Mode::Listen, Cause::CarrierSense, Seconds::new(1.0));
-        let avg = ledger.average_power(Seconds::new(10.0));
-        assert!((avg.value() - PowerProfile::cc2420().listen.value() / 10.0).abs() < 1e-12);
     }
 
     #[test]

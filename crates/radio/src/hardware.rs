@@ -146,11 +146,6 @@ impl Timings {
         }
     }
 
-    /// Full cost of one channel poll from sleep: startup then one CCA.
-    pub fn poll_duration(&self) -> Seconds {
-        self.startup + self.cca
-    }
-
     /// Returns `true` if every timing is finite and non-negative.
     pub fn is_valid(&self) -> bool {
         self.startup.is_non_negative()
@@ -248,12 +243,6 @@ mod tests {
                 radio.name
             );
         }
-    }
-
-    #[test]
-    fn poll_duration_sums_startup_and_cca() {
-        let t = Timings::cc2420();
-        assert_eq!(t.poll_duration(), t.startup + t.cca);
     }
 
     #[test]

@@ -7,16 +7,14 @@
 //! per-cell seed, the protocol, the solve requirements, and the
 //! validation intent — exactly the inputs the study's content key
 //! hashes. [`SolveRequest::to_cell`] reconstructs the corresponding
-//! [`GridCell`] with the *same* arithmetic the grid enumerator uses
-//! (same `disk_radius`, same `every × duty` burst duration), so a
-//! request that describes a grid cell resolves to that cell's exact
-//! cache key. Floats travel as shortest-round-trip `{:?}` tokens and
+//! [`GridCell`] with the constructor the grid enumerator uses
+//! ([`StudyGrid::preset_cell`]: same `disk_radius`, same `every × duty`
+//! burst duration), so a request that describes a grid cell resolves to
+//! that cell's exact cache key. Floats travel as shortest-round-trip `{:?}` tokens and
 //! the seed as a decimal string, so every parameter survives the wire
 //! bit for bit.
 
-use edmac_core::{
-    disk_radius, AppRequirements, GridCell, PresetKind, Scenario, TopologySpec, TrafficSpec,
-};
+use edmac_core::{AppRequirements, GridCell, PresetKind, StudyGrid, TopologySpec};
 use edmac_study::json::{jstr, Json};
 use edmac_units::{Joules, Seconds};
 use std::io::{self, Write};
@@ -88,7 +86,7 @@ impl SolveRequest {
     /// cell with identical scenario, coordinates, and seed.
     pub fn for_cell(
         cell: &GridCell,
-        grid: &edmac_core::StudyGrid,
+        grid: &StudyGrid,
         protocol: &str,
         requirements: AppRequirements,
         validate_horizon: Option<Seconds>,
@@ -117,75 +115,29 @@ impl SolveRequest {
         }
     }
 
-    /// Reconstructs the [`GridCell`] this request describes, using the
-    /// grid enumerator's own construction arithmetic. The grid *index*
-    /// is not wire content (the content key ignores it); it is pinned
-    /// to 0.
+    /// Reconstructs the [`GridCell`] this request describes through the
+    /// grid enumerator's own constructor ([`StudyGrid::preset_cell`]).
+    /// The grid *index* is not wire content (the content key ignores
+    /// it); it is pinned to 0.
     pub fn to_cell(&self) -> GridCell {
-        let (scenario, nodes, depth, hotspot_factor, burst_duty) = match self.preset {
-            PresetKind::Ring => {
-                let (depth, density) = (self.depth, self.density);
-                let nodes = 1 + density * depth * (depth + 1) / 2;
-                let scenario = Scenario::ring(depth, density, self.sample_period);
-                (scenario, nodes, depth, 1.0, 0.0)
-            }
-            PresetKind::UniformDisk => {
-                let nodes = self.nodes;
-                let scenario = Scenario {
-                    name: format!("disk_n{nodes}"),
-                    topology: TopologySpec::UniformDisk {
-                        nodes,
-                        field_radius: disk_radius(nodes),
-                    },
-                    traffic: TrafficSpec::Uniform {
-                        sample_period: self.sample_period,
-                    },
-                };
-                (scenario, nodes, 0, 1.0, 0.0)
-            }
-            PresetKind::HotspotDisk => {
-                let (nodes, factor) = (self.nodes, self.hotspot_factor);
-                let scenario = Scenario {
-                    name: format!("hotspot_n{nodes}_f{factor}"),
-                    topology: TopologySpec::UniformDisk {
-                        nodes,
-                        field_radius: disk_radius(nodes),
-                    },
-                    traffic: TrafficSpec::Hotspot {
-                        sample_period: self.sample_period,
-                        factor,
-                        fraction: self.hotspot_fraction,
-                    },
-                };
-                (scenario, nodes, 0, factor, 0.0)
-            }
-            PresetKind::BurstDisk => {
-                let (nodes, duty) = (self.nodes, self.burst_duty);
-                let scenario = Scenario {
-                    name: format!("burst_n{nodes}_d{duty}"),
-                    topology: TopologySpec::UniformDisk {
-                        nodes,
-                        field_radius: disk_radius(nodes),
-                    },
-                    traffic: TrafficSpec::EventBurst {
-                        sample_period: self.sample_period,
-                        factor: self.burst_factor,
-                        every: self.burst_every,
-                        duration: Seconds::new(self.burst_every.value() * duty),
-                    },
-                };
-                (scenario, nodes, 0, 1.0, duty)
-            }
+        let grid = StudyGrid {
+            sample_period: self.sample_period,
+            hotspot_fraction: self.hotspot_fraction,
+            burst_every: self.burst_every,
+            burst_factor: self.burst_factor,
+            ..StudyGrid::smoke()
         };
+        let cell = grid.preset_cell(
+            self.preset,
+            self.depth,
+            self.density,
+            self.nodes,
+            self.hotspot_factor,
+            self.burst_duty,
+        );
         GridCell {
-            index: 0,
-            scenario,
-            preset: self.preset,
-            nodes,
-            depth,
-            hotspot_factor,
-            burst_duty,
             seed: self.seed,
+            ..cell
         }
     }
 

@@ -24,12 +24,13 @@
 //!
 //! Everything is seeded and deterministic: the same
 //! [`SimConfig::seed`] reproduces the same [`SimReport`] bit-for-bit.
-//! There is one sequential engine. A conservative-parallel sharded
-//! engine used to run next to it; it never ran two shards at once
-//! often enough to pay for its coordination (two shards made the smoke
-//! study 88× slower on a 2-core machine) and was deleted, and
-//! [`Simulation::with_shards`] is now a no-op (see the README's
-//! "Simulator architecture" section).
+//! There is one sequential engine, in three modules: the builder and
+//! report collection, the [`Ctx`] handler API, and the run loop. A
+//! conservative-parallel sharded engine used to run next to it; it
+//! never ran two shards at once often enough to pay for its
+//! coordination (two shards made the smoke study 88× slower on a 2-core
+//! machine) and was deleted, and [`Simulation::with_shards`] is now a
+//! no-op (see the README's "Simulator architecture" section).
 //!
 //! Protocols are configured through the object-safe [`SimProtocol`]
 //! trait — [`XmacSim`], [`DmacSim`], [`LmacSim`] and [`ScpSim`] are the

@@ -141,7 +141,7 @@ impl SimProtocol for DmacSim {
         &self,
         graph: &Graph,
         tree: &RoutingTree,
-        config: &SimConfig,
+        _: &SimConfig,
     ) -> Result<Vec<Box<dyn MacNode>>, NetError> {
         Ok(graph
             .nodes()
@@ -152,7 +152,6 @@ impl SimProtocol for DmacSim {
                     self.slot,
                     self.contention_window,
                     has_children,
-                    config.scheduling,
                 )) as Box<dyn MacNode>
             })
             .collect())

@@ -19,7 +19,7 @@
 //! schedule is one instant per cycle — reported through
 //! [`MacNode::next_activity`] — regardless of the cycle's slot count.
 //!
-//! Under [`WakeMode::Coarse`] the idle cycles of a quiet network cost
+//! Under [`WakeMode::Coarse`](crate::WakeMode::Coarse) the idle cycles of a quiet network cost
 //! no wake either. Every DMAC frame is data or the ack answering it, so
 //! while no node holds a packet the air stays empty until the next
 //! sample ([`Ctx::quiet_until`]), and a cycle's outcome is fixed by the
@@ -31,7 +31,7 @@
 //! ends before that instant and replays them into its ledger lazily —
 //! at its next wake or sample, or at the horizon.
 
-use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
+use crate::engine::{Ctx, IdleWake, MacNode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -72,7 +72,6 @@ pub(crate) struct DmacNode {
     slot: Seconds,
     contention_window: Seconds,
     has_children: bool,
-    coarse: bool,
     phase: Phase,
     queue: VecDeque<Packet>,
     in_flight: Option<Packet>,
@@ -96,14 +95,12 @@ impl DmacNode {
         slot: Seconds,
         contention_window: Seconds,
         has_children: bool,
-        scheduling: WakeMode,
     ) -> DmacNode {
         DmacNode {
             cycle,
             slot,
             contention_window,
             has_children,
-            coarse: scheduling == WakeMode::Coarse,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             in_flight: None,
@@ -145,10 +142,7 @@ impl DmacNode {
     /// nothing queued, no timer pending. Its cycles up to
     /// [`Ctx::quiet_until`] are then idle.
     fn idle(&self, ctx: &Ctx<'_>) -> bool {
-        self.coarse
-            && self.phase == Phase::Sleeping
-            && !self.has_pending()
-            && ctx.pending_timers() == 0
+        self.phase == Phase::Sleeping && !self.has_pending() && ctx.pending_timers() == 0
     }
 
     /// Charges the skipped quiet cycles whose wake is due by now.

@@ -141,10 +141,7 @@ impl XmacNode {
     /// nothing queued, no timer pending. Its polls up to
     /// [`Ctx::quiet_until`] then hear silence.
     fn idle(&self, ctx: &Ctx<'_>) -> bool {
-        self.coarse
-            && self.phase == Phase::Sleeping
-            && !self.has_pending()
-            && ctx.pending_timers() == 0
+        self.phase == Phase::Sleeping && !self.has_pending() && ctx.pending_timers() == 0
     }
 
     /// Charges the skipped quiet polls whose tick is due by now.

@@ -77,30 +77,14 @@ pub struct DepthDelayStats {
 /// The complete result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    protocol: &'static str,
-    config: SimConfig,
-    sink: NodeId,
-    per_node: Vec<NodeStats>,
-    records: Vec<PacketRecord>,
+    pub(crate) protocol: &'static str,
+    pub(crate) config: SimConfig,
+    pub(crate) sink: NodeId,
+    pub(crate) per_node: Vec<NodeStats>,
+    pub(crate) records: Vec<PacketRecord>,
 }
 
 impl SimReport {
-    pub(crate) fn new(
-        protocol: &'static str,
-        config: SimConfig,
-        sink: NodeId,
-        per_node: Vec<NodeStats>,
-        records: Vec<PacketRecord>,
-    ) -> SimReport {
-        SimReport {
-            protocol,
-            config,
-            sink,
-            per_node,
-            records,
-        }
-    }
-
     /// The simulated protocol's name.
     pub fn protocol(&self) -> &'static str {
         self.protocol
@@ -150,36 +134,26 @@ impl SimReport {
         self.counted().filter(|r| r.delivered.is_some()).count()
     }
 
-    /// Mean end-to-end delay of delivered, counted packets.
-    pub fn mean_delay(&self) -> Option<Seconds> {
-        let delays: Vec<f64> = self
-            .counted()
+    /// End-to-end delays (s) of the delivered, counted packets that
+    /// originate at `depth` hops, or at any depth for `None`, in record
+    /// order.
+    fn delays(&self, depth: Option<usize>) -> Vec<f64> {
+        self.counted()
+            .filter(|r| depth.is_none_or(|d| r.origin_depth == d))
             .filter_map(|r| r.delay())
             .map(|d| d.value())
-            .collect();
-        if delays.is_empty() {
-            return None;
-        }
-        Some(Seconds::new(
-            delays.iter().sum::<f64>() / delays.len() as f64,
-        ))
+            .collect()
+    }
+
+    /// Mean end-to-end delay of delivered, counted packets.
+    pub fn mean_delay(&self) -> Option<Seconds> {
+        mean(&self.delays(None))
     }
 
     /// Mean end-to-end delay of delivered packets originating at
     /// `depth` hops.
     pub fn mean_delay_at_depth(&self, depth: usize) -> Option<Seconds> {
-        let delays: Vec<f64> = self
-            .counted()
-            .filter(|r| r.origin_depth == depth)
-            .filter_map(|r| r.delay())
-            .map(|d| d.value())
-            .collect();
-        if delays.is_empty() {
-            return None;
-        }
-        Some(Seconds::new(
-            delays.iter().sum::<f64>() / delays.len() as f64,
-        ))
+        mean(&self.delays(Some(depth)))
     }
 
     /// Median end-to-end delay of delivered packets originating at
@@ -190,36 +164,21 @@ impl SimReport {
     /// retry-cascade tail (a lost exchange costs whole backoff+retry
     /// rounds), which contaminates the mean but not the typical packet.
     pub fn median_delay_at_depth(&self, depth: usize) -> Option<Seconds> {
-        let mut delays: Vec<f64> = self
-            .counted()
-            .filter(|r| r.origin_depth == depth)
-            .filter_map(|r| r.delay())
-            .map(|d| d.value())
-            .collect();
-        if delays.is_empty() {
-            return None;
-        }
-        delays.sort_by(f64::total_cmp);
-        Some(Seconds::new(delays[delays.len() / 2]))
+        self.depth_delay_stats(depth).map(|s| s.p50)
     }
 
     /// Full order-statistics of the delivered, counted packets
     /// originating at `depth` hops: p50/p95/max plus the sample count
     /// (`None` when the class delivered nothing).
     ///
-    /// The p50 is the exact same order statistic as
-    /// [`SimReport::median_delay_at_depth`]; the p95 is nearest-rank
+    /// The p50 is the upper median that
+    /// [`SimReport::median_delay_at_depth`] reports; the p95 is nearest-rank
     /// (`delays[ceil(0.95 · n) − 1]` on the sorted sample), so both
     /// are well-defined down to a single sample and the ordering
     /// `p50 ≤ p95 ≤ max` holds for every class size (a floor-rank p95
     /// would drop *below* the upper median on a 2-sample class).
     pub fn depth_delay_stats(&self, depth: usize) -> Option<DepthDelayStats> {
-        let mut delays: Vec<f64> = self
-            .counted()
-            .filter(|r| r.origin_depth == depth)
-            .filter_map(|r| r.delay())
-            .map(|d| d.value())
-            .collect();
+        let mut delays = self.delays(Some(depth));
         if delays.is_empty() {
             return None;
         }
@@ -329,6 +288,16 @@ impl SimReport {
     }
 }
 
+/// The mean of `delays` in seconds, `None` when there are none.
+fn mean(delays: &[f64]) -> Option<Seconds> {
+    if delays.is_empty() {
+        return None;
+    }
+    Some(Seconds::new(
+        delays.iter().sum::<f64>() / delays.len() as f64,
+    ))
+}
+
 impl std::fmt::Display for SimReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -370,19 +339,19 @@ mod tests {
     }
 
     fn report(records: Vec<PacketRecord>) -> SimReport {
-        SimReport::new(
-            "T",
-            SimConfig {
+        SimReport {
+            protocol: "T",
+            config: SimConfig {
                 duration: Seconds::new(100.0),
                 sample_period: Seconds::new(10.0),
                 warmup: Seconds::new(10.0),
                 seed: 0,
                 scheduling: WakeMode::Coarse,
             },
-            NodeId::new(0),
-            vec![],
+            sink: NodeId::new(0),
+            per_node: vec![],
             records,
-        )
+        }
     }
 
     #[test]
@@ -456,17 +425,8 @@ mod tests {
 
     #[test]
     fn stats_by_depth_cover_populated_classes_in_order() {
-        let r = SimReport::new(
-            "T",
-            SimConfig {
-                duration: Seconds::new(100.0),
-                sample_period: Seconds::new(10.0),
-                warmup: Seconds::new(10.0),
-                seed: 0,
-                scheduling: WakeMode::Coarse,
-            },
-            NodeId::new(0),
-            vec![
+        let r = SimReport {
+            per_node: vec![
                 NodeStats {
                     node: NodeId::new(1),
                     depth: 3,
@@ -484,12 +444,12 @@ mod tests {
                     mean_sinr_db: None,
                 },
             ],
-            vec![
+            ..report(vec![
                 record(20.0, Some(21.0), 1),
                 record(20.0, Some(26.0), 3),
                 record(25.0, None, 2), // lost: class 2 has no deliveries
-            ],
-        );
+            ])
+        };
         let stats = r.delay_stats_by_depth();
         let depths: Vec<usize> = stats.iter().map(|s| s.depth).collect();
         assert_eq!(depths, [1, 3], "empty classes are skipped");
@@ -508,17 +468,17 @@ mod tests {
         sink_breakdown.rx = Joules::new(100.0);
         let mut node_breakdown = EnergyBreakdown::ZERO;
         node_breakdown.tx = Joules::new(1.0);
-        let r = SimReport::new(
-            "T",
-            SimConfig {
+        let r = SimReport {
+            protocol: "T",
+            config: SimConfig {
                 duration: Seconds::new(10.0),
                 sample_period: Seconds::new(1.0),
                 warmup: Seconds::ZERO,
                 seed: 0,
                 scheduling: WakeMode::Coarse,
             },
-            NodeId::new(0),
-            vec![
+            sink: NodeId::new(0),
+            per_node: vec![
                 NodeStats {
                     node: NodeId::new(0),
                     depth: 0,
@@ -536,8 +496,8 @@ mod tests {
                     mean_sinr_db: None,
                 },
             ],
-            vec![],
-        );
+            records: vec![],
+        };
         // Same epoch as duration: scale 1. The sink's 100 J must not win.
         assert_eq!(r.bottleneck_energy(Seconds::new(10.0)), Joules::new(1.0));
         assert_eq!(

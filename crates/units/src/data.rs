@@ -110,12 +110,6 @@ impl BitsPerSecond {
     pub fn airtime(self, size: Bytes) -> Seconds {
         Seconds::new(size.bits() as f64 / self.value())
     }
-
-    /// Returns the time taken to serialize one byte.
-    #[inline]
-    pub fn byte_time(self) -> Seconds {
-        Seconds::new(8.0 / self.value())
-    }
 }
 
 /// Size over a link rate yields airtime.
@@ -153,7 +147,6 @@ mod tests {
         let rate = BitsPerSecond::from_kilo(250.0);
         // 50-byte frame = 400 bits = 1.6 ms at 250 kbps.
         assert!((rate.airtime(Bytes::new(50)).as_millis() - 1.6).abs() < 1e-12);
-        assert!((rate.byte_time().as_micros() - 32.0).abs() < 1e-9);
         assert!(((Bytes::new(50) / rate).as_millis() - 1.6).abs() < 1e-12);
     }
 
