@@ -194,30 +194,46 @@ impl std::fmt::Display for EnergyBreakdown {
     }
 }
 
-/// Accumulates `(mode, cause, duration)` charges into an
-/// [`EnergyBreakdown`] using a [`PowerProfile`].
+/// Accumulates `(mode, cause, duration)` charges and prices them into
+/// an [`EnergyBreakdown`] using a [`PowerProfile`].
 ///
 /// The simulator charges the ledger on every radio-state transition; the
 /// analytical models construct breakdowns directly but reuse the same
 /// power profile, so the two accountings are comparable by construction.
 ///
+/// Durations are whole nanoseconds — the simulator's clock — kept per
+/// `(Mode, Cause)` bucket as integers. A charge is an integer add, so
+/// the ledger's state depends only on how much time each bucket got,
+/// never on the order or the pieces it arrived in: charging a run of `k`
+/// identical intervals once, `k` times longer, is the same ledger.
+/// Each bucket is priced once, in [`breakdown`](EnergyLedger::breakdown).
+///
 /// # Examples
 ///
 /// ```
 /// use edmac_radio::{Cause, EnergyLedger, Mode, PowerProfile};
-/// use edmac_units::Seconds;
 ///
 /// let mut ledger = EnergyLedger::new(PowerProfile::cc2420());
-/// ledger.charge(Mode::Tx, Cause::DataTx, Seconds::from_millis(1.6));
-/// ledger.charge(Mode::Sleep, Cause::Sleep, Seconds::new(1.0));
+/// ledger.charge(Mode::Tx, Cause::DataTx, 1_600_000); // 1.6 ms
+/// ledger.charge(Mode::Sleep, Cause::Sleep, 1_000_000_000); // 1 s
 /// let b = ledger.breakdown();
 /// assert!(b.tx > b.sleep); // 1.6 ms of tx beats a full second of sleep
+/// assert_eq!(ledger.charged_nanos(), 1_001_600_000);
+///
+/// // Order and piece boundaries do not matter.
+/// let mut pieces = EnergyLedger::new(PowerProfile::cc2420());
+/// pieces.charge(Mode::Sleep, Cause::Sleep, 400_000_000);
+/// pieces.charge(Mode::Tx, Cause::DataTx, 1_000_000);
+/// pieces.charge(Mode::Sleep, Cause::Sleep, 600_000_000);
+/// pieces.charge(Mode::Tx, Cause::DataTx, 600_000);
+/// assert_eq!(pieces.breakdown(), b);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnergyLedger {
     profile: PowerProfile,
-    breakdown: EnergyBreakdown,
-    busy_time: Seconds,
+    /// Nanoseconds charged, indexed by `[mode][cause]` in the order of
+    /// [`Mode::ALL`] and [`Cause::ALL`].
+    nanos: [[u64; Cause::ALL.len()]; Mode::ALL.len()],
 }
 
 impl EnergyLedger {
@@ -225,39 +241,73 @@ impl EnergyLedger {
     pub fn new(profile: PowerProfile) -> EnergyLedger {
         EnergyLedger {
             profile,
-            breakdown: EnergyBreakdown::ZERO,
-            busy_time: Seconds::ZERO,
+            nanos: [[0; Cause::ALL.len()]; Mode::ALL.len()],
         }
     }
 
-    /// Charges `duration` spent in `mode` to `cause`.
-    ///
-    /// Negative or non-finite durations are ignored (and would indicate a
-    /// simulator bug; the simulator asserts separately).
-    pub fn charge(&mut self, mode: Mode, cause: Cause, duration: Seconds) {
-        if !duration.is_non_negative() {
-            return;
-        }
-        let energy: Joules = self.profile.draw(mode) * duration;
-        *self.breakdown.get_mut(cause) += energy;
-        if mode != Mode::Sleep {
-            self.busy_time += duration;
-        }
+    /// Charges `nanos` nanoseconds spent in `mode` to `cause`.
+    pub fn charge(&mut self, mode: Mode, cause: Cause, nanos: u64) {
+        self.nanos[mode_index(mode)][cause_index(cause)] += nanos;
     }
 
-    /// The accumulated breakdown so far.
+    /// The accumulated breakdown so far: each cause's time in each mode,
+    /// priced at that mode's draw.
     pub fn breakdown(&self) -> EnergyBreakdown {
-        self.breakdown
+        let mut out = EnergyBreakdown::ZERO;
+        for (m, mode) in Mode::ALL.into_iter().enumerate() {
+            let draw = self.profile.draw(mode);
+            for (c, cause) in Cause::ALL.into_iter().enumerate() {
+                let ns = self.nanos[m][c];
+                if ns > 0 {
+                    *out.get_mut(cause) += draw * seconds(ns);
+                }
+            }
+        }
+        out
     }
 
     /// Total time charged in non-sleep modes (for duty-cycle reporting).
     pub fn busy_time(&self) -> Seconds {
-        self.busy_time
+        seconds(self.charged_nanos() - self.nanos[mode_index(Mode::Sleep)].iter().sum::<u64>())
+    }
+
+    /// Total time charged, in every mode, in nanoseconds.
+    pub fn charged_nanos(&self) -> u64 {
+        self.nanos.iter().flatten().sum()
     }
 
     /// The profile this ledger charges against.
     pub fn profile(&self) -> &PowerProfile {
         &self.profile
+    }
+}
+
+/// `nanos` nanoseconds as [`Seconds`].
+fn seconds(nanos: u64) -> Seconds {
+    Seconds::new(nanos as f64 / 1e9)
+}
+
+/// The position of `mode` in [`Mode::ALL`].
+fn mode_index(mode: Mode) -> usize {
+    match mode {
+        Mode::Sleep => 0,
+        Mode::Listen => 1,
+        Mode::Rx => 2,
+        Mode::Tx => 3,
+        Mode::Startup => 4,
+    }
+}
+
+/// The position of `cause` in [`Cause::ALL`].
+fn cause_index(cause: Cause) -> usize {
+    match cause {
+        Cause::CarrierSense => 0,
+        Cause::DataTx => 1,
+        Cause::DataRx => 2,
+        Cause::Overhearing => 3,
+        Cause::SyncTx => 4,
+        Cause::SyncRx => 5,
+        Cause::Sleep => 6,
     }
 }
 
@@ -306,25 +356,51 @@ mod tests {
     fn ledger_charges_at_profile_draw() {
         let profile = PowerProfile::cc2420();
         let mut ledger = EnergyLedger::new(profile);
-        ledger.charge(Mode::Listen, Cause::CarrierSense, Seconds::new(2.0));
+        ledger.charge(Mode::Listen, Cause::CarrierSense, 2_000_000_000);
         let expected = profile.listen * Seconds::new(2.0);
         assert_eq!(ledger.breakdown().carrier_sense, expected);
         assert_eq!(ledger.busy_time(), Seconds::new(2.0));
     }
 
     #[test]
-    fn ledger_ignores_invalid_durations() {
-        let mut ledger = EnergyLedger::new(PowerProfile::cc2420());
-        ledger.charge(Mode::Tx, Cause::DataTx, Seconds::new(-1.0));
-        ledger.charge(Mode::Tx, Cause::DataTx, Seconds::new(f64::NAN));
-        assert_eq!(ledger.breakdown().total(), Joules::ZERO);
-        assert_eq!(ledger.busy_time(), Seconds::ZERO);
+    fn ledger_prices_each_cause_in_every_mode() {
+        let profile = PowerProfile::cc2420();
+        let mut ledger = EnergyLedger::new(profile);
+        ledger.charge(Mode::Startup, Cause::SyncRx, 1_000_000);
+        ledger.charge(Mode::Rx, Cause::SyncRx, 3_000_000);
+        let expected =
+            profile.startup * Seconds::from_millis(1.0) + profile.rx * Seconds::from_millis(3.0);
+        assert_eq!(ledger.breakdown().sync_rx, expected);
+        assert_eq!(ledger.charged_nanos(), 4_000_000);
+    }
+
+    #[test]
+    fn charges_are_order_free() {
+        let pieces = [
+            (Mode::Startup, Cause::CarrierSense, 970_000),
+            (Mode::Listen, Cause::CarrierSense, 2_500_001),
+            (Mode::Sleep, Cause::Sleep, 97_000_003),
+            (Mode::Rx, Cause::Overhearing, 1_234_567),
+        ];
+        let mut forward = EnergyLedger::new(PowerProfile::cc2420());
+        let mut merged = EnergyLedger::new(PowerProfile::cc2420());
+        for _ in 0..1000 {
+            for &(mode, cause, ns) in &pieces {
+                forward.charge(mode, cause, ns);
+            }
+        }
+        for &(mode, cause, ns) in pieces.iter().rev() {
+            merged.charge(mode, cause, 1000 * ns);
+        }
+        assert_eq!(forward.breakdown(), merged.breakdown());
+        assert_eq!(forward.busy_time(), merged.busy_time());
+        assert_eq!(forward.charged_nanos(), merged.charged_nanos());
     }
 
     #[test]
     fn sleep_does_not_count_as_busy() {
         let mut ledger = EnergyLedger::new(PowerProfile::cc2420());
-        ledger.charge(Mode::Sleep, Cause::Sleep, Seconds::new(100.0));
+        ledger.charge(Mode::Sleep, Cause::Sleep, 100_000_000_000);
         assert_eq!(ledger.busy_time(), Seconds::ZERO);
         assert!(ledger.breakdown().sleep.value() > 0.0);
     }

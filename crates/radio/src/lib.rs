@@ -17,8 +17,8 @@
 //!   ([`PowerProfile`]), switching [`Timings`], link bitrate and frame
 //!   airtime computation;
 //! * [`EnergyBreakdown`] — the paper's six-way (plus sleep) decomposition;
-//! * [`EnergyLedger`] — an accumulator mapping `(mode, cause, duration)`
-//!   charges into an [`EnergyBreakdown`], used by the simulator;
+//! * [`EnergyLedger`] — an accumulator of `(mode, cause, nanoseconds)`
+//!   charges, priced into an [`EnergyBreakdown`], used by the simulator;
 //! * [`FrameSizes`] — the frame formats whose airtimes drive every model.
 //!
 //! # Examples
@@ -28,10 +28,11 @@
 //! use edmac_units::Seconds;
 //!
 //! let radio = Radio::cc2420();
+//! let nanos = |s: Seconds| (s.value() * 1e9).round() as u64;
 //! let mut ledger = EnergyLedger::new(radio.power);
 //! // One channel poll: startup then a clear-channel assessment.
-//! ledger.charge(Mode::Startup, Cause::CarrierSense, radio.timings.startup);
-//! ledger.charge(Mode::Listen, Cause::CarrierSense, radio.timings.cca);
+//! ledger.charge(Mode::Startup, Cause::CarrierSense, nanos(radio.timings.startup));
+//! ledger.charge(Mode::Listen, Cause::CarrierSense, nanos(radio.timings.cca));
 //! let breakdown = ledger.breakdown();
 //! assert!(breakdown.carrier_sense.value() > 0.0);
 //! assert_eq!(breakdown.total(), breakdown.carrier_sense);

@@ -11,15 +11,17 @@ use edmac_net::NodeId;
 use edmac_radio::{Cause, Mode};
 use edmac_units::Seconds;
 use rand::Rng;
+use std::ops::Range;
 
 /// What the radio did in a wake replayed through
-/// [`Ctx::replay_idle_wake`], once its startup finished.
+/// [`Ctx::replay_idle_wakes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdleWake<'a> {
-    /// Listened to silence, in consecutive pieces ending at these
-    /// instants (a protocol that re-labels its listen mid-wake, like
-    /// DMAC's transmit slot, ends a piece there), then slept.
-    Listen(&'a [SimTime]),
+pub enum IdleWake {
+    /// Started up, then listened to silence until this many
+    /// nanoseconds after the wake (the startup included), then slept.
+    /// Listening is one ledger bucket, so where a protocol re-labels
+    /// its listen mid-wake (DMAC's transmit slot) makes no difference.
+    Listen(u64),
     /// Received one frame of this kind, addressed elsewhere, starting
     /// the instant the radio was up, then slept (LMAC's heartbeat from
     /// a slot owner).
@@ -27,6 +29,81 @@ pub enum IdleWake<'a> {
     /// Transmitted one frame of this kind the instant the radio was up,
     /// then slept (LMAC's own-slot heartbeat).
     Transmit(FrameKind),
+}
+
+/// Nanoseconds of slack in [`Ctx::replay_idle_wakes`]'s check that a
+/// run's wakes cannot reach one another: clock wakes are instants
+/// `base + k·period` rounded to whole nanoseconds, so two of their gaps
+/// differ by a nanosecond or two at most.
+const GAP_SLACK_NS: u64 = 4;
+
+/// The first `k >= from` for which `pred` fails, where `pred` holds on
+/// every index from `from` up to some point and fails from there on.
+///
+/// `guess` is a closed-form estimate of the answer (a clock's
+/// `(t − phase) / period`). It is corrected against `pred` itself, by
+/// galloping away from it and bisecting, so the answer is the one a
+/// scan from `from` would give whatever the rounding of the estimate.
+/// A good estimate costs two evaluations.
+pub(crate) fn first_failing(from: u64, guess: f64, pred: impl Fn(u64) -> bool) -> u64 {
+    let k = if guess > from as f64 {
+        guess.ceil() as u64
+    } else {
+        from
+    };
+    // Bracket the answer in `lo..=hi`: `pred` holds below `lo` (down to
+    // `from`) and fails at `hi`.
+    let (mut lo, mut hi) = if pred(k) {
+        let (mut lo, mut step) = (k + 1, 1);
+        loop {
+            let probe = lo + step - 1;
+            if !pred(probe) {
+                break (lo, probe);
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
+    } else {
+        let (mut hi, mut step) = (k, 1);
+        loop {
+            if hi == from {
+                break (from, from);
+            }
+            let probe = hi.saturating_sub(step).max(from);
+            if pred(probe) {
+                break (probe + 1, hi);
+            }
+            hi = probe;
+            step *= 2;
+        }
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Charges `nanos` of what the radio did in wakes of `shape` once it
+/// was up, listening charged to `cause`, and counts `frames` of the
+/// shape's frame.
+fn charge_piece(st: &mut NodeState, shape: IdleWake, cause: Cause, nanos: u64, frames: u64) {
+    let (mode, cause) = match shape {
+        IdleWake::Listen(_) => (Mode::Listen, cause),
+        IdleWake::Receive(kind) => {
+            st.counters.record_rx(kind, frames);
+            (Mode::Rx, kind.rx_cause(false))
+        }
+        IdleWake::Transmit(kind) => {
+            st.counters.record_tx(kind, frames);
+            (Mode::Tx, kind.tx_cause())
+        }
+    };
+    st.ledger.charge(mode, cause, nanos);
 }
 
 /// The node-facing API: everything a [`MacNode`](super::MacNode) may
@@ -139,31 +216,49 @@ impl Ctx<'_> {
         self.run.nodes[self.node.index()].pending_timers
     }
 
-    /// The instant up to which the network is provably packet-free:
-    /// the earliest pending application sample (capped at the
-    /// horizon) while no node [holds packets](super::MacNode::holds_packets)
-    /// and no packet-carrying frame is on the air, and `now` otherwise.
+    /// The instant up to which no frame can reach this node's radio:
+    /// with `d` this node's hop depth, the earliest pending application
+    /// sample (capped at the horizon) at depths `d − 1` and deeper while
+    /// no node at those depths [holds packets](super::MacNode::holds_packets)
+    /// or has a packet-carrying frame on the air, and `now` otherwise.
     ///
-    /// Packets enter only at a sample, so until this instant no data
-    /// exchange can start anywhere, and a protocol whose every frame
-    /// carries or answers a packet (X-MAC, DMAC) puts nothing on the
-    /// air. A wake of such a protocol whose whole window closes
-    /// *strictly before* this instant may be replayed through
-    /// [`replay_idle_wake`](Ctx::replay_idle_wake) instead of
-    /// simulated.
+    /// This bounds the air around a node of a protocol whose every
+    /// frame carries or answers a packet (X-MAC, DMAC):
+    ///
+    /// * the engine keeps this bookkeeping only where every air link is
+    ///   a decode edge of one network, so the node hears only its decode
+    ///   neighbors;
+    /// * depths are BFS hop distances over that graph, so a neighbor's
+    ///   depth is within one of this node's: every sender it can hear
+    ///   sits at depth `d − 1` or deeper;
+    /// * a sender's frame carries its own packet, or answers a child's
+    ///   (one depth deeper), so it needs a packet at depth `d − 1` or
+    ///   deeper;
+    /// * packets only move to [`parent`](Ctx::parent), one depth up, so
+    ///   none enters those depths but by a sample there.
+    ///
+    /// A wake of such a protocol whose whole window closes *strictly
+    /// before* this instant may be replayed through
+    /// [`replay_idle_wakes`](Ctx::replay_idle_wakes) instead of
+    /// simulated. Answering is O(depth): no neighbor is scanned.
     ///
     /// Always `now` under [`WakeMode::Dense`](super::WakeMode::Dense) and with more than one
     /// network: the engine keeps no quiet bookkeeping there.
     pub fn quiet_until(&self) -> SimTime {
         let now = self.run.now;
-        match &self.run.quiet {
-            Some(quiet) if quiet.holders == 0 && quiet.packet_air == 0 => {
-                let end = self.shared.end;
-                let next = quiet.generates.peek().map_or(end, |t| t.0.min(end));
-                next.max(now)
+        let Some(depths) = &self.run.quiet else {
+            return now;
+        };
+        let mut next = self.shared.end;
+        for depth in &depths[self.depth().saturating_sub(1)..] {
+            if depth.holders > 0 || depth.packet_air > 0 {
+                return now;
             }
-            _ => now,
+            if let Some(t) = depth.generates.peek() {
+                next = next.min(t.0);
+            }
         }
+        next.max(now)
     }
 
     /// Uniform random sample in `[lo, hi)` from this node's seeded
@@ -259,11 +354,11 @@ impl Ctx<'_> {
         let st = &mut self.run.nodes[self.node.index()];
         let tx_seq = ((self.node.index() as u64) << 32) | st.next_tx;
         st.next_tx += 1;
-        st.counters.record_tx(kind);
+        st.counters.record_tx(kind, 1);
         st.set_mode(now, Mode::Tx, kind.tx_cause());
         st.tx_carries_packet = packet.is_some();
         if let (true, Some(quiet)) = (packet.is_some(), &mut self.run.quiet) {
-            quiet.packet_air += 1;
+            quiet[self.shared.depth[self.node.index()]].packet_air += 1;
         }
 
         let end = self.shared.frame_end(now, kind);
@@ -305,7 +400,7 @@ impl Ctx<'_> {
     /// The instant up to which `node` provably holds no packet: its next
     /// application sample (capped at the horizon) while it
     /// [holds none](super::MacNode::holds_packets), and `now` otherwise. The
-    /// per-node form of [`quiet_until`](Ctx::quiet_until), and like it
+    /// per-node bound behind [`quiet_until`](Ctx::quiet_until), and like it
     /// always `now` without quiet bookkeeping.
     pub fn packet_free_until(&self, node: NodeId) -> SimTime {
         let now = self.run.now;
@@ -327,71 +422,138 @@ impl Ctx<'_> {
         self.run.quiet.is_some() && self.run.nodes[node.index()].radio.mode == Mode::Sleep
     }
 
-    /// Replays, straight into the energy ledger, one wake-up that the
-    /// event-coarse scheduler elided: sleep up to `wake_at`, a radio
-    /// startup charged to `cause`, then what the radio did once it was
-    /// up (`then`), after which the node went back to sleep.
+    /// Replays, straight into the energy ledger, the wake-ups `wakes`
+    /// that the event-coarse scheduler elided, in one step: wake `k` at
+    /// `at(k)` (increasing in `k`) was a radio startup charged to
+    /// `cause`, then what the radio did once it was up, then sleep.
+    /// Wake `k` did `shapes[1]` if `second(k..k + 1)` is 1 and
+    /// `shapes[0]` otherwise; `second(r)` counts the wakes of any `r`
+    /// that did `shapes[1]` (`|_| 0` for a run of one shape). A single
+    /// wake is the run `k..k + 1`.
     ///
-    /// The charge sequence (piece boundaries, rounding, order) is
-    /// exactly what the dense scheduler produces for such a wake, so
-    /// coarse and dense runs stay bit-identical; pieces crossing the
-    /// horizon are clamped the way the dense end-of-run flush clamps
-    /// them, and a frame is counted iff the dense run's event for it
-    /// (the send at radio-up, the reception at its last bit) lands
-    /// inside the horizon. A replay is only valid where the caller's
-    /// schedule knowledge proves the wake's outcome — a silent slot, a
-    /// heartbeat from the single in-range owner, a poll or cycle
-    /// before [`quiet_until`](Ctx::quiet_until) — and only if no
-    /// handler of this node touches the radio inside the replayed
-    /// window.
+    /// Only the wakes due by now are replayed; returns the first index
+    /// of `wakes` that is not. A wake the node was not asleep across is
+    /// skipped, as the dense scheduler skips a busy boundary without
+    /// charging it.
     ///
-    /// No-op if the node was not asleep across `wake_at` (the dense
-    /// scheduler skips busy boundaries without charging them).
-    pub fn replay_idle_wake(&mut self, wake_at: SimTime, cause: Cause, then: IdleWake<'_>) {
-        let state = self.run.nodes[self.node.index()].radio;
-        if state.mode != Mode::Sleep || wake_at < state.since {
-            return;
+    /// The ledger keeps integer nanoseconds per bucket, so the charges
+    /// need not come in the dense run's pieces or order, only in its
+    /// totals. Every wake before the last is charged whole, by count,
+    /// and sleep is the rest of the span up to the last wake. Only the
+    /// last wake can cross the horizon; its pieces are clamped the way
+    /// the dense end-of-run flush clamps them, and its frame counted iff
+    /// the dense run's event for it (the send at radio-up, the reception
+    /// at its last bit) lands inside the horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a wake of the run can reach the next, judged from the
+    /// run's first gap, which must be its shortest up to the few
+    /// nanoseconds by which rounded clock instants jitter (checked wake
+    /// by wake in debug builds). The dense scheduler would find the node
+    /// still awake at such a wake, and so would the node's next
+    /// simulated wake after the run: a protocol whose wakes can outlast
+    /// their period must not elide them.
+    ///
+    /// A replay is only valid where the caller's schedule knowledge
+    /// proves each wake's outcome — a silent slot, a heartbeat from the
+    /// single in-range owner, a poll or cycle before
+    /// [`quiet_until`](Ctx::quiet_until) — and only if no handler of
+    /// this node touches the radio inside the replayed windows.
+    pub fn replay_idle_wakes(
+        &mut self,
+        wakes: Range<u64>,
+        at: impl Fn(u64) -> SimTime,
+        cause: Cause,
+        shapes: [IdleWake; 2],
+        second: impl Fn(Range<u64>) -> u64,
+    ) -> u64 {
+        let now = self.run.now;
+        let (start, end) = (wakes.start, wakes.end);
+        let due = first_failing(start, end as f64, |k| k < end && at(k) <= now);
+        let radio = self.run.nodes[self.node.index()].radio;
+        if radio.mode != Mode::Sleep {
+            return due;
         }
+        let first = first_failing(start, due as f64, |k| k < due && at(k) < radio.since);
+        if first == due {
+            return due;
+        }
+        let shape = |k: u64| shapes[usize::from(second(k..k + 1) == 1)];
+        let active = |wake: IdleWake| self.active_nanos(wake);
+        let last = due - 1;
+        let longest = active(shapes[0]).max(active(shapes[1]));
+        assert!(
+            first == last || at(first + 1).nanos_since(at(first)) >= longest + GAP_SLACK_NS,
+            "node {}: a replayed wake of {longest} ns reaches the next",
+            self.node
+        );
+        debug_assert!(
+            (first..last).all(|k| at(k + 1).nanos_since(at(k)) >= active(shape(k))),
+            "node {}: a replayed wake reaches the next",
+            self.node
+        );
+        debug_assert_eq!(
+            second(first..last),
+            (first..last).map(|k| second(k..k + 1)).sum::<u64>(),
+            "second shape miscounted"
+        );
+        let n2 = second(first..last);
+        let before = [(shapes[0], last - first - n2), (shapes[1], n2)];
+        self.replay_run(at(last), shape(last), before, cause);
+        due
+    }
+
+    /// How long a wake of `shape` keeps the radio up, startup included.
+    fn active_nanos(&self, shape: IdleWake) -> u64 {
+        let startup = self.shared.startup_ns;
+        match shape {
+            IdleWake::Listen(until) => until.max(startup),
+            IdleWake::Receive(kind) | IdleWake::Transmit(kind) => {
+                startup + self.shared.airtime_ns[kind.index()]
+            }
+        }
+    }
+
+    /// Charges the wakes `before` (each shape whole, times its count),
+    /// then the last wake, at `last_at`, of shape `last`, clamped at the
+    /// horizon, and the sleep around them all; the node sleeps from the
+    /// end of the last wake.
+    fn replay_run(
+        &mut self,
+        last_at: SimTime,
+        last: IdleWake,
+        before: [(IdleWake, u64); 2],
+        cause: Cause,
+    ) {
         let shared = self.shared;
-        let end = shared.end;
-        let ready = SimTime::from_nanos(wake_at.as_nanos() + shared.startup_ns);
-        let st = &mut self.run.nodes[self.node.index()];
-        let woke = wake_at.min(end);
-        st.ledger
-            .charge(Mode::Sleep, Cause::Sleep, woke.since(state.since));
-        st.ledger
-            .charge(Mode::Startup, cause, ready.min(end).since(woke));
-        let mut from = ready.min(end);
-        let mut piece = |st: &mut NodeState, mode: Mode, cause: Cause, to: SimTime| {
-            let to = to.min(end);
-            st.ledger.charge(mode, cause, to.since(from));
-            from = to;
-        };
-        match then {
-            IdleWake::Listen(ends) => {
-                for &to in ends {
-                    piece(st, Mode::Listen, cause, to);
-                }
-            }
-            IdleWake::Receive(kind) => {
-                // The frame starts the instant this node's radio is up
-                // (sender and receiver share the wake lead), so no
-                // listen time elapses before the lock.
-                let heard = shared.frame_end(ready, kind);
-                piece(st, Mode::Rx, kind.rx_cause(false), heard);
-                if heard <= end {
-                    st.counters.record_rx(kind);
-                }
-            }
-            IdleWake::Transmit(kind) => {
-                let sent = shared.frame_end(ready, kind);
-                piece(st, Mode::Tx, kind.tx_cause(), sent);
-                if ready <= end {
-                    st.counters.record_tx(kind);
-                }
-            }
+        let (end, startup) = (shared.end.as_nanos(), shared.startup_ns);
+        let mut busy = 0;
+        for (shape, n) in before {
+            let active = self.active_nanos(shape);
+            busy += n * active;
+            let st = &mut self.run.nodes[self.node.index()];
+            st.ledger.charge(Mode::Startup, cause, n * startup);
+            charge_piece(st, shape, cause, n * (active - startup), n);
         }
-        st.radio.since = from;
+        let woke = last_at.as_nanos().min(end);
+        let ready = (last_at.as_nanos() + startup).min(end);
+        let stop = last_at.as_nanos() + self.active_nanos(last);
+        // The dense run counts a frame at its event: the send at
+        // radio-up, the reception at its last bit (the frame starts the
+        // instant the radio is up, as sender and receiver share the
+        // wake lead).
+        let counted = match last {
+            IdleWake::Listen(_) => false,
+            IdleWake::Receive(_) => stop <= end,
+            IdleWake::Transmit(_) => ready <= end,
+        };
+        let st = &mut self.run.nodes[self.node.index()];
+        let slept = woke - st.radio.since.as_nanos() - busy;
+        st.ledger.charge(Mode::Sleep, Cause::Sleep, slept);
+        st.ledger.charge(Mode::Startup, cause, ready - woke);
+        charge_piece(st, last, cause, stop.min(end) - ready, u64::from(counted));
+        st.radio.since = SimTime::from_nanos(stop.min(end));
     }
 
     /// Records the final delivery of `packet` at the sink in its
@@ -425,6 +587,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    #[test]
+    fn first_failing_agrees_with_a_scan_whatever_the_guess() {
+        // A rounded clock, like the poll grids and ladders it serves.
+        let at = |k: u64| SimTime::from_seconds(Seconds::new(0.0123 + 0.1 * k as f64));
+        for from in [0, 3, 40] {
+            for bound_ns in [0, 12_300_000, 112_300_000, 3_512_300_001, 9_999_999_999] {
+                let pred = |k: u64| at(k).as_nanos() < bound_ns;
+                let scan = (from..).find(|&k| !pred(k)).expect("bounded");
+                for guess in [f64::NAN, -5.0, 0.0, 2.4, 34.5, 35.0, 35.2, 99.9, 1e6] {
+                    assert_eq!(
+                        first_failing(from, guess, pred),
+                        scan,
+                        "from {from}, bound {bound_ns} ns, guess {guess}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Builds one scripted node per node index (within its network).
     struct Scripted<F>(F);
 
@@ -451,6 +632,16 @@ mod tests {
     /// Runs `protocol` for 20 s, sampling every 6 s, on a 2×4 ring
     /// (`networks` copies side by side); returns network 0's report.
     fn ring_run(protocol: &dyn SimProtocol, scheduling: WakeMode, networks: usize) -> SimReport {
+        deep_ring_run(protocol, scheduling, networks, 2)
+    }
+
+    /// [`ring_run`] on rings `depth` hops deep.
+    fn deep_ring_run(
+        protocol: &dyn SimProtocol,
+        scheduling: WakeMode,
+        networks: usize,
+        depth: usize,
+    ) -> SimReport {
         let cfg = SimConfig {
             duration: Seconds::new(20.0),
             sample_period: Seconds::new(6.0),
@@ -459,7 +650,7 @@ mod tests {
             scheduling,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let ring = Topology::ring_model(2, 4, &mut rng).expect("buildable ring");
+        let ring = Topology::ring_model(depth, 4, &mut rng).expect("buildable ring");
         let rings: Vec<Topology> = (0..networks)
             .map(|k| ring.translated(100.0 * k as f64, 0.0))
             .collect();
@@ -482,11 +673,13 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     struct Seen {
         what: &'static str,
+        depth: usize,
         now: SimTime,
         quiet: SimTime,
     }
 
-    type Log = std::sync::Arc<std::sync::Mutex<(Vec<Seen>, Vec<SimTime>)>>;
+    /// Every observation, and every sample with its node's depth.
+    type Log = std::sync::Arc<std::sync::Mutex<(Vec<Seen>, Vec<(SimTime, usize)>)>>;
 
     /// Probes `quiet_until` on a 0.37 s clock and logs every sample it
     /// drops; node `talker` (if any) sends one packet at 5 s.
@@ -501,6 +694,7 @@ mod tests {
         fn see(&self, ctx: &Ctx<'_>, what: &'static str) {
             let seen = Seen {
                 what,
+                depth: ctx.depth(),
                 now: ctx.now(),
                 quiet: ctx.quiet_until(),
             };
@@ -539,7 +733,8 @@ mod tests {
         }
         fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
         fn on_generate(&mut self, ctx: &mut Ctx<'_>, _: Packet) {
-            self.log.lock().expect("test log").1.push(ctx.now());
+            let sample = (ctx.now(), ctx.depth());
+            self.log.lock().expect("test log").1.push(sample);
         }
         fn holds_packets(&self) -> bool {
             self.holds
@@ -555,6 +750,19 @@ mod tests {
         scheduling: WakeMode,
         networks: usize,
     ) -> (Vec<Seen>, Vec<SimTime>) {
+        let (seen, generates) = deep_probe_run(holder, talker, scheduling, networks, 2);
+        (seen, generates.into_iter().map(|(t, _)| t).collect())
+    }
+
+    /// [`probe_run`] on rings `depth` hops deep, with each sample's
+    /// depth.
+    fn deep_probe_run(
+        holder: Option<usize>,
+        talker: Option<usize>,
+        scheduling: WakeMode,
+        networks: usize,
+        depth: usize,
+    ) -> (Vec<Seen>, Vec<(SimTime, usize)>) {
         let log = Log::default();
         let probes = Scripted(|u| {
             Box::new(Probe {
@@ -563,7 +771,7 @@ mod tests {
                 log: log.clone(),
             }) as Box<dyn MacNode>
         });
-        drop(ring_run(&probes, scheduling, networks));
+        drop(deep_ring_run(&probes, scheduling, networks, depth));
         let (seen, mut generates) = log.lock().expect("test log").clone();
         generates.sort();
         (seen, generates)
@@ -627,6 +835,43 @@ mod tests {
             assert!(!seen.is_empty(), "{label}");
             assert!(seen.iter().all(|s| s.quiet == s.now), "{label}");
         }
+    }
+
+    #[test]
+    fn quiet_until_looks_one_depth_up_and_everything_below() {
+        // Node 1 sits in the first ring and holds packets throughout.
+        let end = SimTime::from_seconds(Seconds::new(20.0));
+        let (seen, generates) = deep_probe_run(Some(1), None, WakeMode::Coarse, 1, 4);
+        // The first sample strictly after `now` at a depth in `depths`.
+        let next = |now: SimTime, depths: std::ops::RangeFrom<usize>| {
+            generates
+                .iter()
+                .find(|&&(g, d)| g > now && depths.contains(&d))
+                .map_or(end, |&(g, _)| g.min(end))
+        };
+        let at_sample = |now: SimTime| generates.iter().any(|&(g, _)| g == now);
+        let deep: Vec<&Seen> = seen.iter().filter(|s| s.depth == 4).collect();
+        assert!(deep.len() > 100, "depth-4 probes: {}", deep.len());
+        let mut unbounded = 0;
+        for s in deep {
+            if at_sample(s.now) {
+                continue; // a sample at this very instant may or may not be pending
+            }
+            assert_eq!(
+                s.quiet,
+                next(s.now, 3..),
+                "depth 4 sees depths 3 and up: {s:?}"
+            );
+            // A first-ring sample before that bound does not cut it.
+            unbounded += usize::from(next(s.now, 1..) < s.quiet);
+        }
+        assert!(unbounded > 10, "depth-1 samples passed by: {unbounded}");
+        let shallow: Vec<&Seen> = seen.iter().filter(|s| s.depth == 2).collect();
+        assert!(!shallow.is_empty());
+        assert!(
+            shallow.iter().all(|s| s.quiet == s.now),
+            "depth 2 sees the holder at depth 1"
+        );
     }
 
     /// At its first sample a courier delivers that packet over one

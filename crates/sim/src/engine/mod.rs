@@ -26,6 +26,7 @@
 mod ctx;
 mod run;
 
+pub(crate) use self::ctx::first_failing;
 pub use self::ctx::{Ctx, IdleWake};
 pub use crate::protocols::MacNode;
 
@@ -51,16 +52,23 @@ pub enum WakeMode {
     /// Event-coarse scheduling: nodes wake only for slots where they
     /// transmit, may receive from a schedule-known neighbor, or must
     /// sample the channel; elided idle ticks are replayed into the
-    /// energy ledger arithmetically ([`Ctx::replay_idle_wake`]).
+    /// energy ledger arithmetically, a whole run of them in one step
+    /// ([`Ctx::replay_idle_wakes`]).
     ///
-    /// A single-network run also gets the quiet-network fast path:
-    /// while no node holds a packet and no packet is on the air,
-    /// nothing but schedule-fixed heartbeats can reach the air before
-    /// the next application sample, so X-MAC polls and DMAC cycles
-    /// whose whole window closes before it are replayed instead of
-    /// simulated ([`Ctx::quiet_until`]); LMAC does the same for a slot
-    /// whose owner is packet-free past its control
+    /// A single-network run also gets the quiet fast path: while no
+    /// node at the caller's depth minus one or deeper holds a packet or
+    /// has one on the air, nothing can reach the caller's radio before
+    /// the next application sample at those depths, so X-MAC polls and
+    /// DMAC cycles whose whole window closes before it are replayed
+    /// instead of simulated ([`Ctx::quiet_until`]); LMAC does the same
+    /// for a slot whose owner is packet-free past its control
     /// ([`Ctx::packet_free_until`]).
+    ///
+    /// Replays are exact because the energy ledger keeps integer
+    /// nanoseconds per `(mode, cause)` bucket: a coarse run matches the
+    /// dense one whenever each bucket got the same time, in whatever
+    /// pieces and order. The engine checks at the horizon that every
+    /// node was charged exactly the run's length.
     ///
     /// A replay is proven only by a network's own schedule, so it is
     /// sound only when every transmission a node can hear comes from
@@ -520,7 +528,7 @@ fn collect_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{LmacSim, XmacSim};
+    use crate::protocol::{DmacSim, LmacSim, XmacSim};
 
     fn tiny_config() -> SimConfig {
         SimConfig {
@@ -625,18 +633,29 @@ mod tests {
     #[test]
     fn energy_is_conserved_over_the_horizon() {
         // Every node's charged time (busy + sleep) must equal the run
-        // duration exactly.
+        // duration to the nanosecond, whether its wakes were simulated
+        // or replayed.
         let cfg = tiny_config();
-        let report = xmac_ring(100.0, cfg.seed).run();
-        for stats in report.per_node() {
-            let sleep_time = stats.breakdown.sleep.value() / Radio::cc2420().power.sleep.value();
-            let total = stats.busy.value() + sleep_time;
-            assert!(
-                (total - cfg.duration.value()).abs() < 1e-6,
-                "node {} accounted {total} s of {} s",
-                stats.node,
-                cfg.duration.value()
-            );
+        let horizon = SimTime::from_seconds(cfg.duration).as_nanos();
+        let protocols: [Box<dyn SimProtocol>; 3] = [
+            Box::new(XmacSim::new(Seconds::from_millis(100.0))),
+            Box::new(DmacSim::new(Seconds::new(0.5))),
+            Box::new(LmacSim::new(Seconds::from_millis(10.0))),
+        ];
+        for protocol in &protocols {
+            for scheduling in [WakeMode::Coarse, WakeMode::Dense] {
+                let cfg = SimConfig { scheduling, ..cfg };
+                let mut sim = Simulation::ring(2, 4, protocol.as_ref(), cfg).unwrap();
+                let nodes = run::execute(&sim.shared, &mut sim.machines);
+                for (u, st) in nodes.iter().enumerate() {
+                    assert_eq!(
+                        st.ledger.charged_nanos(),
+                        horizon,
+                        "{} {scheduling:?}: node {u}",
+                        protocol.name()
+                    );
+                }
+            }
         }
     }
 }

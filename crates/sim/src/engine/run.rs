@@ -134,7 +134,7 @@ impl NodeState {
 
     fn charge_current(&mut self, now: SimTime) {
         let state = self.radio;
-        let elapsed = now.since(state.since);
+        let elapsed = now.nanos_since(state.since);
         let cause = if state.mode == Mode::Sleep {
             Cause::Sleep
         } else {
@@ -231,18 +231,19 @@ pub(super) struct RunState {
     pub(super) nodes: Vec<NodeState>,
     /// The transmissions the queued air batches name.
     pub(super) air: AirSlab,
-    /// The quiet-network bookkeeping; `None` (and [`Ctx::quiet_until`]
-    /// always `now`) unless the run is one network under
-    /// [`WakeMode::Coarse`].
-    pub(super) quiet: Option<QuietLedger>,
+    /// The quiet-network bookkeeping, one entry per hop depth; `None`
+    /// (and [`Ctx::quiet_until`] always `now`) unless the run is one
+    /// network under [`WakeMode::Coarse`].
+    pub(super) quiet: Option<Vec<QuietLedger>>,
 }
 
-/// What [`Ctx::quiet_until`] needs to know about the whole network.
-#[derive(Debug)]
+/// What [`Ctx::quiet_until`] needs to know about the nodes at one hop
+/// depth.
+#[derive(Debug, Default)]
 pub(super) struct QuietLedger {
     /// Nodes whose last [`MacNode::holds_packets`] answer was `true`.
     pub(super) holders: usize,
-    /// Frames on the air that carry a packet.
+    /// Frames on the air, sent from this depth, that carry a packet.
     pub(super) packet_air: usize,
     /// The time of every pending `Generate` (one per non-sink node).
     pub(super) generates: BinaryHeap<Reverse<SimTime>>,
@@ -258,15 +259,21 @@ impl RunState {
         // every pending sample); a second network's traffic is unknown
         // to this one's schedule.
         let track_quiet = shared.sinks.len() == 1 && shared.config.scheduling == WakeMode::Coarse;
+        let quiet = track_quiet.then(|| {
+            let mut depths: Vec<QuietLedger> = (0..=shared.max_depths[0])
+                .map(|_| QuietLedger::default())
+                .collect();
+            // Every node starts out counted as a holder.
+            for &d in &shared.depth {
+                depths[d].holders += 1;
+            }
+            depths
+        });
         RunState {
             now: SimTime::ZERO,
             events: HeapQueue::new(),
             wakes: HeapQueue::new(),
-            quiet: track_quiet.then(|| QuietLedger {
-                holders: nodes.len(),
-                packet_air: 0,
-                generates: BinaryHeap::new(),
-            }),
+            quiet,
             nodes,
             air: AirSlab::default(),
         }
@@ -287,18 +294,19 @@ impl RunState {
         }
     }
 
-    /// Schedules `node`'s next application sample at `at`.
-    fn schedule_generate(&mut self, node: NodeId, at: SimTime, round: u32) {
+    /// Schedules `node`'s next application sample at `at`; `depth` is
+    /// the node's hop depth.
+    fn schedule_generate(&mut self, node: NodeId, depth: usize, at: SimTime, round: u32) {
         let key = self.key_for(node, at, round);
         self.events.schedule(key, Event::Generate { node });
         self.nodes[node.index()].next_sample = at;
         if let Some(quiet) = &mut self.quiet {
-            quiet.generates.push(Reverse(at));
+            quiet[depth].generates.push(Reverse(at));
         }
     }
 
-    /// Records whether `node` now holds packets.
-    fn note_holds(&mut self, node: NodeId, holds: bool) {
+    /// Records whether `node`, at hop `depth`, now holds packets.
+    fn note_holds(&mut self, node: NodeId, depth: usize, holds: bool) {
         let st = &mut self.nodes[node.index()];
         if st.holds == holds {
             return;
@@ -306,9 +314,9 @@ impl RunState {
         st.holds = holds;
         if let Some(quiet) = &mut self.quiet {
             if holds {
-                quiet.holders += 1;
+                quiet[depth].holders += 1;
             } else {
-                quiet.holders -= 1;
+                quiet[depth].holders -= 1;
             }
         }
     }
@@ -459,7 +467,7 @@ fn air_end(
         st.counters.record_collision();
         return false;
     }
-    st.counters.record_rx(frame.kind);
+    st.counters.record_rx(frame.kind, 1);
     if overlapped {
         st.counters.record_captured();
     }
@@ -493,7 +501,8 @@ impl Engine<'_> {
         };
         f(machine, &mut ctx);
         if ctx.run.quiet.is_some() {
-            ctx.run.note_holds(node, machine.holds_packets());
+            let depth = self.shared.depth[node.index()];
+            ctx.run.note_holds(node, depth, machine.holds_packets());
         }
         let want = machine.next_activity(&mut ctx);
         self.run.register_wake(node, want);
@@ -508,8 +517,9 @@ impl Engine<'_> {
             Event::Generate { node } => {
                 let run = &mut self.run;
                 let now = run.now;
+                let depth = shared.depth[node.index()];
                 if let Some(quiet) = &mut run.quiet {
-                    let popped = quiet.generates.pop();
+                    let popped = quiet[depth].generates.pop();
                     debug_assert_eq!(popped, Some(Reverse(now)), "generates fire in time order");
                 }
                 let st = &mut run.nodes[node.index()];
@@ -524,7 +534,7 @@ impl Engine<'_> {
                 st.records.push(PacketRecord {
                     id,
                     origin: node,
-                    origin_depth: shared.depth[node.index()],
+                    origin_depth: depth,
                     created: now,
                     delivered: None,
                     hops: 0,
@@ -538,7 +548,7 @@ impl Engine<'_> {
                 let jitter = st.rng.gen_range(0.5..1.5);
                 let next = now.after(shared.sample_period(now, node) * jitter);
                 let r = if next == now { round } else { 0 };
-                run.schedule_generate(node, next, r);
+                run.schedule_generate(node, depth, next, r);
                 self.with_node(node, round, |n, ctx| n.on_generate(ctx, packet));
             }
             Event::Timer { node, id, tag } => {
@@ -616,7 +626,7 @@ impl Engine<'_> {
                 st.set_mode(now, Mode::Listen, Cause::CarrierSense);
                 if std::mem::take(&mut st.tx_carries_packet) {
                     if let Some(quiet) = &mut run.quiet {
-                        quiet.packet_air -= 1;
+                        quiet[shared.depth[node.index()]].packet_air -= 1;
                     }
                 }
                 self.with_node(node, round, |n, ctx| n.on_tx_done(ctx));
@@ -676,7 +686,7 @@ impl Engine<'_> {
             let period = shared.sample_period(SimTime::ZERO, node);
             let phase = run.nodes[i].rng.gen_range(0.0..period.value());
             let at = SimTime::from_seconds(Seconds::new(phase));
-            run.schedule_generate(node, at, 0);
+            run.schedule_generate(node, shared.depth[i], at, 0);
         }
         for i in 0..self.machines.len() {
             self.with_node(NodeId::new(i), 1, |n, ctx| n.start(ctx));
@@ -685,15 +695,28 @@ impl Engine<'_> {
 
     /// Horizon phase: let schedule-coarsening nodes replay idle wakes that
     /// were still pending, then flush residual mode time.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every node's ledger then holds exactly the horizon
+    /// in nanoseconds: each instant of the run charged once, whether
+    /// simulated or replayed.
     fn finish(&mut self) {
         let end = self.shared.end;
         self.run.now = end;
         for i in 0..self.machines.len() {
             self.with_node(NodeId::new(i), 1, |n, ctx| n.on_horizon(ctx));
         }
-        for st in &mut self.run.nodes {
+        for (u, st) in self.run.nodes.iter_mut().enumerate() {
             st.charge_current(end);
             st.radio.since = end;
+            let charged = st.ledger.charged_nanos();
+            assert_eq!(
+                charged,
+                end.as_nanos(),
+                "node {u} charged {charged} ns of a {} ns run",
+                end.as_nanos()
+            );
         }
     }
 }

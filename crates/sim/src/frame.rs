@@ -168,12 +168,16 @@ impl FrameCounters {
         self.rx.iter().sum()
     }
 
-    pub(crate) fn record_tx(&mut self, kind: FrameKind) {
-        self.tx[kind.index()] += 1;
+    /// Counts `n` transmissions of `kind` (more than one for replayed
+    /// wakes).
+    pub(crate) fn record_tx(&mut self, kind: FrameKind, n: u64) {
+        self.tx[kind.index()] += n;
     }
 
-    pub(crate) fn record_rx(&mut self, kind: FrameKind) {
-        self.rx[kind.index()] += 1;
+    /// Counts `n` receptions of `kind` (more than one for replayed
+    /// wakes).
+    pub(crate) fn record_rx(&mut self, kind: FrameKind, n: u64) {
+        self.rx[kind.index()] += n;
     }
 
     pub(crate) fn record_collision(&mut self) {

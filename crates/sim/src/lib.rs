@@ -10,7 +10,8 @@
 //!   the unit disk is its capture-off case, a SINR channel with capture
 //!   lets a strong frame ride out weak interferers,
 //! * a five-state **radio** (sleep / startup / listen / rx / tx) whose
-//!   transitions charge an [`EnergyLedger`](edmac_radio::EnergyLedger)
+//!   transitions charge, in whole nanoseconds, an
+//!   [`EnergyLedger`](edmac_radio::EnergyLedger)
 //!   using the same power profiles and cause taxonomy as the analytical
 //!   models — so simulated and modelled breakdowns are directly
 //!   comparable,

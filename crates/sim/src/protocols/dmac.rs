@@ -19,19 +19,22 @@
 //! schedule is one instant per cycle — reported through
 //! [`MacNode::next_activity`] — regardless of the cycle's slot count.
 //!
-//! Under [`WakeMode::Coarse`](crate::WakeMode::Coarse) the idle cycles of a quiet network cost
-//! no wake either. Every DMAC frame is data or the ack answering it, so
-//! while no node holds a packet the air stays empty until the next
-//! sample ([`Ctx::quiet_until`]), and a cycle's outcome is fixed by the
-//! node's role: an interior node listens through its children's slot
-//! and lingers one slot after its own (two listen pieces, split where
-//! the transmit slot re-labels the listen), the sink listens until two
-//! slots after its wake, and a leaf lingers one slot. A sleeping node
-//! with nothing queued and no timer pending jumps over every cycle that
-//! ends before that instant and replays them into its ledger lazily —
-//! at its next wake or sample, or at the horizon.
+//! Under [`WakeMode::Coarse`](crate::WakeMode::Coarse) the idle cycles
+//! of a quiet neighborhood cost no wake either. Every DMAC frame is data
+//! or the ack answering it, so while no node one hop shallower or
+//! deeper holds a packet nothing reaches this node's radio until the
+//! next sample there ([`Ctx::quiet_until`]), and a cycle's outcome is
+//! fixed by the node's role: an interior node listens through its
+//! children's slot and lingers one slot after its own, the sink listens
+//! until two slots after its wake, and a leaf lingers one slot. A
+//! sleeping node with nothing queued and no timer pending jumps over
+//! every cycle that ends before that instant (found in closed form from
+//! the ladder, then checked against it) and replays them lazily, in one
+//! step at its next wake or sample or at the horizon. Where an idle
+//! cycle outlasts the cycle period, no cycle is replayed.
 
-use crate::engine::{Ctx, IdleWake, MacNode};
+use super::wakes_clear;
+use crate::engine::{first_failing, Ctx, IdleWake, MacNode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -87,6 +90,20 @@ pub(crate) struct DmacNode {
     /// `replay_from..next_cycle` are quiet cycles still owed to the
     /// ledger.
     replay_from: u64,
+    /// The slot this node wakes for, as an offset into each cycle in
+    /// seconds: its receive slot if it has children, else its transmit
+    /// slot (`None` for a node with neither, unreachable in a connected
+    /// tree). Fixed at start.
+    wake_slot: Option<f64>,
+    /// The radio startup, in seconds, that each wake leads its slot by.
+    startup: f64,
+    /// How long an idle cycle keeps the radio up, in nanoseconds after
+    /// its wake ([`DmacNode::idle_listen`]). Fixed at start.
+    idle_until: u64,
+    /// Whether an idle cycle ends before the next cycle's wake, even
+    /// the first (whose wake a startup lead may clamp to time zero), so
+    /// that quiet cycles may be replayed. Fixed at start.
+    cycles_clear: bool,
 }
 
 impl DmacNode {
@@ -109,6 +126,10 @@ impl DmacNode {
             ack_timer: u64::MAX,
             next_cycle: 0,
             replay_from: 0,
+            wake_slot: None,
+            startup: 0.0,
+            idle_until: 0,
+            cycles_clear: false,
         }
     }
 
@@ -117,44 +138,56 @@ impl DmacNode {
         self.in_flight.is_some() || !self.queue.is_empty()
     }
 
-    /// The ends of the two listen pieces of an idle cycle woken at
-    /// `wake`, exactly as the handlers time them: an interior node
-    /// re-labels its listen when its transmit slot opens and sleeps one
-    /// lingering slot later; the sink sleeps two slots after its wake
-    /// (an empty second piece); a leaf re-labels the instant its radio
-    /// is up (an empty first piece) and lingers one slot.
-    fn idle_listen(&self, ctx: &Ctx<'_>, wake: SimTime) -> [SimTime; 2] {
+    /// How long an idle cycle keeps the radio up, in nanoseconds after
+    /// its wake, exactly as the handlers time it: an interior node
+    /// listens until its transmit slot (one slot plus the startup lead
+    /// after the wake) and lingers one slot more; the sink sleeps two
+    /// slots after its wake; a leaf lingers one slot once its radio is
+    /// up.
+    fn idle_listen(&self, ctx: &Ctx<'_>) -> u64 {
+        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
         if self.rx_offset(ctx).is_some() {
             if self.tx_offset(ctx).is_some() {
-                let tx = wake.after(self.slot + ctx.startup_delay());
-                [tx, tx.after(self.slot)]
+                nanos(self.slot + ctx.startup_delay()) + nanos(self.slot)
             } else {
-                let sleep = wake.after(self.slot * 2.0);
-                [sleep, sleep]
+                nanos(self.slot * 2.0)
             }
         } else {
-            let ready = wake.after(ctx.startup_delay());
-            [ready, ready.after(self.slot)]
+            nanos(ctx.startup_delay()) + nanos(self.slot)
         }
     }
 
     /// Whether nothing of this node's own can wake its radio: asleep,
     /// nothing queued, no timer pending. Its cycles up to
-    /// [`Ctx::quiet_until`] are then idle.
+    /// [`Ctx::quiet_until`] are then idle, and are replayed if each ends
+    /// before the next cycle's wake.
     fn idle(&self, ctx: &Ctx<'_>) -> bool {
-        self.phase == Phase::Sleeping && !self.has_pending() && ctx.pending_timers() == 0
+        self.cycles_clear
+            && self.phase == Phase::Sleeping
+            && !self.has_pending()
+            && ctx.pending_timers() == 0
     }
 
-    /// Charges the skipped quiet cycles whose wake is due by now.
-    fn replay_cycles(&mut self, ctx: &mut Ctx<'_>) {
-        while self.replay_from < self.next_cycle {
-            let Some(wake) = self.lead(ctx, self.replay_from).filter(|&w| w <= ctx.now()) else {
-                break;
-            };
-            let listen = self.idle_listen(ctx, wake);
-            ctx.replay_idle_wake(wake, Cause::CarrierSense, IdleWake::Listen(&listen));
-            self.replay_from += 1;
+    /// Whether an idle cycle woken at `wake` closes strictly before
+    /// `quiet`.
+    fn closes_before(&self, wake: SimTime, quiet: SimTime) -> bool {
+        wake.as_nanos() + self.idle_until < quiet.as_nanos()
+    }
+
+    /// Charges, in one step, the quiet cycles before cycle `to` whose
+    /// wake is due by now.
+    fn replay_cycles(&mut self, ctx: &mut Ctx<'_>, to: u64) {
+        if self.wake_slot.is_none() {
+            return;
         }
+        let cycles = self.replay_from..to;
+        self.replay_from = ctx.replay_idle_wakes(
+            cycles,
+            |k| self.lead(k).expect("a node with a wake slot"),
+            Cause::CarrierSense,
+            [IdleWake::Listen(self.idle_until); 2],
+            |_| 0,
+        );
     }
 
     /// Records a failed attempt: randomize the next one, drop the
@@ -193,17 +226,24 @@ impl DmacNode {
     /// children, else the transmit slot, one radio startup early so
     /// listening starts on the slot boundary. `None` for a node with
     /// neither (unreachable in a connected tree).
-    fn lead(&self, ctx: &Ctx<'_>, k: u64) -> Option<SimTime> {
-        let offset = self.rx_offset(ctx).or_else(|| self.tx_offset(ctx))?;
-        let at = self.cycle.value() * k as f64 + offset.value() - ctx.startup_delay().value();
+    fn lead(&self, k: u64) -> Option<SimTime> {
+        let at = self.cycle.value() * k as f64 + self.wake_slot? - self.startup;
         Some(SimTime::from_seconds(Seconds::new(at.max(0.0))))
     }
 }
 
 impl MacNode for DmacNode {
-    fn start(&mut self, _ctx: &mut Ctx<'_>) {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
         self.next_cycle = 0;
         self.replay_from = 0;
+        self.wake_slot = self
+            .rx_offset(ctx)
+            .or_else(|| self.tx_offset(ctx))
+            .map(Seconds::value);
+        self.startup = ctx.startup_delay().value();
+        self.idle_until = self.idle_listen(ctx);
+        let active = Seconds::new(self.idle_until as f64 / 1e9) + ctx.startup_delay();
+        self.cycles_clear = wakes_clear(active, self.cycle);
     }
 
     fn holds_packets(&self) -> bool {
@@ -211,30 +251,33 @@ impl MacNode for DmacNode {
     }
 
     fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        if self.idle(ctx) {
+        let offset = self.wake_slot? - self.startup;
+        let skip = self
+            .lead(self.next_cycle)
+            .is_some_and(|wake| wake > ctx.now());
+        if skip && self.idle(ctx) {
             let quiet = ctx.quiet_until();
-            while let Some(wake) = self.lead(ctx, self.next_cycle) {
-                if wake <= ctx.now() || self.idle_listen(ctx, wake)[1] >= quiet {
-                    break;
-                }
-                self.next_cycle += 1;
-            }
+            let listen = self.idle_until as f64 / 1e9;
+            let guess = (quiet.as_seconds().value() - listen - offset) / self.cycle.value();
+            self.next_cycle = first_failing(self.next_cycle, guess, |k| {
+                self.lead(k)
+                    .is_some_and(|wake| self.closes_before(wake, quiet))
+            });
         }
-        self.lead(ctx, self.next_cycle)
+        self.lead(self.next_cycle)
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
-        self.replay_cycles(ctx);
+        let k = self.next_cycle;
         self.next_cycle += 1;
+        // A quiet cycle is replayed with the quiet cycles skipped before
+        // it: it is the first cycle of a quiet stretch, asked for while
+        // the network around the node was not yet quiet.
+        let quiet = self.idle(ctx) && self.closes_before(ctx.now(), ctx.quiet_until());
+        self.replay_cycles(ctx, if quiet { k + 1 } else { k });
         self.replay_from = self.next_cycle;
-        if self.idle(ctx) {
-            let listen = self.idle_listen(ctx, ctx.now());
-            if listen[1] < ctx.quiet_until() {
-                // The first cycle of a quiet stretch: the node was last
-                // asked for its schedule before the network fell quiet.
-                ctx.replay_idle_wake(ctx.now(), Cause::CarrierSense, IdleWake::Listen(&listen));
-                return;
-            }
+        if quiet {
+            return;
         }
         if self.rx_offset(ctx).is_some() {
             // Wake for the children's slot; the own tx slot follows
@@ -368,11 +411,11 @@ impl MacNode for DmacNode {
     }
 
     fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
-        self.replay_cycles(ctx);
+        self.replay_cycles(ctx, self.next_cycle);
     }
 
     fn on_generate(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        self.replay_cycles(ctx);
+        self.replay_cycles(ctx, self.next_cycle);
         // Data waits for the next ladder sweep.
         self.queue.push_back(packet);
     }

@@ -24,18 +24,22 @@
 //!   in-range owner exists (distance-2 reuse), it always transmits its
 //!   control, and the addressee can only be its parent — so the whole
 //!   wake (startup, one control reception, sleep) is deterministic and
-//!   replays through [`Ctx::replay_idle_wake`] as a received control;
+//!   replays through [`Ctx::replay_idle_wakes`] as a received control;
 //! * **silent slots** — no in-range owner: a startup, 300 µs of
 //!   provable silence and sleep, replayed as a silent listen.
 //!
 //! Under [`WakeMode::Coarse`] the node schedules wakes only for the
 //! first class and replays the rest; under [`WakeMode::Dense`] it
 //! wakes at every boundary like the original engine. Both produce
-//! bit-identical reports (the `wake_equivalence` golden tests).
+//! bit-identical reports (the `wake_equivalence` golden tests). The
+//! heard and silent slots between two wakes are replayed as one run, in
+//! one step: a per-index prefix count of the heard slots gives how many
+//! of the run's slots were heard without visiting them. Where a heard
+//! or silent wake could outlast its slot, no slot is elided.
 //!
 //! The first class is data-dependent only while the slot's owner has
 //! data. When the owner holds no packet and samples none before its
-//! control ends ([`Ctx::packet_free_until`], the per-node form of
+//! control ends ([`Ctx::packet_free_until`], the per-node bound behind
 //! [`Ctx::quiet_until`]), and both the owner and its parent are asleep
 //! at the slot's wake, the owner's control is a bare heartbeat and the
 //! parent hears exactly that: the owner replays its wake as a
@@ -50,6 +54,7 @@
 //! the one slot every node wakes for, replays as heard or silent for
 //! every node it is neither the own nor a child slot of.
 
+use super::wakes_clear;
 use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
@@ -95,9 +100,14 @@ pub(crate) struct LmacNode {
     /// kind in which [`Ctx::is_asleep`] and [`Ctx::packet_free_until`]
     /// look at them.
     child_owners: Vec<Option<NodeId>>,
-    /// Slot indices owned by non-child in-range neighbors: replayed as
-    /// deterministic heard controls.
-    heard_slots: Vec<bool>,
+    /// `heard_before[i]`: how many of slot indices `0..i` are *heard*
+    /// slots, owned by non-child in-range neighbors and replayed as
+    /// deterministic heard controls (`frame_slots + 1` entries), so that
+    /// the heard slots of any run of global slots are counted without
+    /// visiting them.
+    heard_before: Vec<u32>,
+    /// The radio startup, in seconds, that each wake leads its slot by.
+    startup: f64,
     coarse: bool,
     phase: Phase,
     queue: VecDeque<Packet>,
@@ -138,12 +148,19 @@ impl LmacNode {
                     .expect("the own slot is relevant") as u32
             })
             .collect();
+        let heard_before = std::iter::once(0)
+            .chain(heard_slots.iter().scan(0, |n, &heard| {
+                *n += u32::from(heard);
+                Some(*n)
+            }))
+            .collect();
         LmacNode {
             slot,
             frame_slots,
             my_slot,
             child_owners,
-            heard_slots,
+            heard_before,
+            startup: 0.0,
             heartbeats_fit: false,
             coarse: scheduling == WakeMode::Coarse,
             phase: Phase::Sleeping,
@@ -167,33 +184,29 @@ impl LmacNode {
         self.index(k) == self.my_slot
     }
 
-    /// Replays one elided slot of frame index `i`, woken at `at`: a
-    /// deterministic heard control if an in-range non-child owns it,
-    /// provable silence otherwise.
-    fn replay_slot(&self, ctx: &mut Ctx<'_>, at: SimTime, i: usize) {
-        let silent = [at.after(ctx.startup_delay()).after(control_timeout())];
-        let heard = if self.heard_slots[i] {
-            IdleWake::Receive(FrameKind::Control)
-        } else {
-            IdleWake::Listen(&silent)
-        };
-        ctx.replay_idle_wake(at, Cause::SyncRx, heard);
+    /// How many heard slots global slots `0..k` hold.
+    fn heard_upto(&self, k: u64) -> u64 {
+        let per_frame = u64::from(self.heard_before[self.frame_slots]);
+        (k / self.frame_slots as u64) * per_frame + u64::from(self.heard_before[self.index(k)])
     }
 
-    /// Replays the elided slots from `replay_from` up to `to` whose wake
-    /// instant is due by now (the dense scheduler woke for exactly
-    /// those).
+    /// Replays, in one step, the elided slots from `replay_from` up to
+    /// `to` whose wake instant is due by now (the dense scheduler woke
+    /// for exactly those). Each is a deterministic heard control if an
+    /// in-range non-child owns it, provable silence otherwise: a
+    /// startup, the control timeout of silence, and sleep.
     fn replay_elided(&mut self, ctx: &mut Ctx<'_>, to: u64) {
-        let mut i = self.index(self.replay_from);
-        while self.replay_from < to {
-            let at = self.lead(ctx, self.replay_from);
-            if at > ctx.now() {
-                break;
-            }
-            self.replay_slot(ctx, at, i);
-            self.replay_from += 1;
-            i = if i + 1 == self.frame_slots { 0 } else { i + 1 };
-        }
+        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
+        let silent = IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(control_timeout()));
+        let heard = IdleWake::Receive(FrameKind::Control);
+        let slots = self.replay_from..to;
+        self.replay_from = ctx.replay_idle_wakes(
+            slots,
+            |k| self.lead(k),
+            Cause::SyncRx,
+            [silent, heard],
+            |r| self.heard_upto(r.end) - self.heard_upto(r.start),
+        );
     }
 
     /// The owner of slot `k` and its parent, if this node is one of the
@@ -215,7 +228,7 @@ impl LmacNode {
     /// they always agree on whether the slot is replayed.
     fn bare_heartbeat(&self, ctx: &Ctx<'_>, k: u64, owner: NodeId, parent: Option<NodeId>) -> bool {
         let control_end = self
-            .lead(ctx, k)
+            .lead(k)
             .after(ctx.startup_delay())
             .after(ctx.airtime(FrameKind::Control));
         self.heartbeats_fit
@@ -234,62 +247,69 @@ impl LmacNode {
     }
 
     /// The wake instant for global slot `k` (one startup early).
-    fn lead(&self, ctx: &Ctx<'_>, k: u64) -> SimTime {
-        let at = self.slot.value() * k as f64 - ctx.startup_delay().value();
+    fn lead(&self, k: u64) -> SimTime {
+        let at = self.slot.value() * k as f64 - self.startup;
         SimTime::from_seconds(Seconds::new(at.max(0.0)))
     }
 }
 
 impl MacNode for LmacNode {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
+        // Slots are elided only where each wake, heard or silent, ends
+        // before the next slot's wake, even the first (led by a startup
+        // from time zero); otherwise every slot is simulated.
+        let heard = ctx.airtime(FrameKind::Control).max(control_timeout());
+        self.coarse &= wakes_clear(ctx.startup_delay() * 2.0 + heard, self.slot);
         self.heartbeats_fit = ctx.airtime(FrameKind::Control)
             + ctx.airtime(FrameKind::Data)
             + Seconds::from_millis(1.0)
             < self.slot;
+        self.startup = ctx.startup_delay().value();
         // Every node attends slot 0 (silent or not, the dense schedule
         // starts there); `next_activity` takes it from here.
         self.next_slot = 0;
     }
 
-    fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        Some(self.lead(ctx, self.next_slot))
+    fn next_activity(&mut self, _ctx: &mut Ctx<'_>) -> Option<SimTime> {
+        Some(self.lead(self.next_slot))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
         let k = self.next_slot;
-        // Replay the heard and silent slots the coarse schedule jumped
-        // over (empty range in dense mode).
-        self.replay_elided(ctx, k);
-        self.replay_from = k + 1;
         self.current_slot = k;
         // Commit the next boundary first, so a crash in this slot's
         // logic cannot stall the schedule.
         self.next_slot = self.next_relevant(k + 1);
+        let pair = self.heartbeat_pair(ctx, k);
+        // Slot 0, which every node attends, is heard or silent like any
+        // elided slot for a node neither owning it nor parent to its
+        // owner, so that an owner replaying its heartbeat there leaves
+        // no listener waiting: it joins the run of elided slots the
+        // coarse schedule jumped over (empty in dense mode).
+        let elided = self.coarse && self.phase == Phase::Sleeping && pair.is_none();
+        self.replay_elided(ctx, if elided { k + 1 } else { k });
+        self.replay_from = k + 1;
+        if elided {
+            return;
+        }
         if self.phase != Phase::Sleeping {
             // Still busy from the previous slot (e.g. long data
             // reception): skip this boundary.
             return;
         }
         if self.coarse {
-            let at = self.lead(ctx, k);
-            match self.heartbeat_pair(ctx, k) {
-                Some((owner, parent)) if self.bare_heartbeat(ctx, k, owner, parent) => {
-                    let (cause, wake) = if owner == ctx.me() {
-                        (Cause::SyncTx, IdleWake::Transmit(FrameKind::Control))
-                    } else {
-                        (Cause::SyncRx, IdleWake::Receive(FrameKind::Control))
-                    };
-                    ctx.replay_idle_wake(at, cause, wake);
-                    return;
-                }
-                Some(_) => {}
-                None => {
-                    // Slot 0, which every node attends: heard or silent
-                    // like any elided slot, so that an owner replaying
-                    // its heartbeat there leaves no listener waiting.
-                    self.replay_slot(ctx, at, self.index(k));
-                    return;
-                }
+            let bare = |&(owner, parent): &(NodeId, Option<NodeId>)| {
+                self.bare_heartbeat(ctx, k, owner, parent)
+            };
+            if let Some((owner, _)) = pair.filter(bare) {
+                let (cause, wake) = if owner == ctx.me() {
+                    (Cause::SyncTx, IdleWake::Transmit(FrameKind::Control))
+                } else {
+                    (Cause::SyncRx, IdleWake::Receive(FrameKind::Control))
+                };
+                let at = self.lead(k);
+                ctx.replay_idle_wakes(k..k + 1, |_| at, cause, [wake; 2], |_| 0);
+                return;
             }
         }
         self.phase = Phase::WakingForSlot;

@@ -4,11 +4,21 @@
 use crate::engine::Ctx;
 use crate::frame::{Frame, Packet};
 use crate::time::SimTime;
+use edmac_units::Seconds;
 
 pub(crate) mod dmac;
 pub(crate) mod lmac;
 pub(crate) mod scp;
 pub(crate) mod xmac;
+
+/// Whether a wake that keeps the radio up for `active` ends clear of a
+/// wake `gap` later, with a microsecond to spare against nanosecond
+/// rounding. Where it does not, the dense scheduler finds the node
+/// still awake at the next wake, and a protocol must not elide it
+/// ([`Ctx::replay_idle_wakes`]).
+pub(crate) fn wakes_clear(active: Seconds, gap: Seconds) -> bool {
+    active + Seconds::from_micros(1.0) < gap
+}
 
 /// A protocol's per-node behavior: a state machine driven by the
 /// engine's callbacks.
@@ -31,8 +41,9 @@ pub(crate) mod xmac;
 /// Schedule-driven protocols answer with their next *relevant* tick —
 /// a slot where they transmit, may receive from a schedule-known
 /// neighbor, or must sample the channel — and account for the elided
-/// idle ticks through [`Ctx::replay_idle_wake`], which reproduces the
-/// dense scheduler's energy charges exactly. The engine delivers each
+/// idle ticks through [`Ctx::replay_idle_wakes`], which charges a run
+/// of them in one step to the same ledger totals the dense scheduler
+/// reaches. The engine delivers each
 /// due wake through [`MacNode::on_wake`]; ties with queued events
 /// resolve in favor of wakes (mirroring the dense scheduler, whose
 /// boundary timers always carried the earliest sequence numbers), and
@@ -42,24 +53,29 @@ pub(crate) mod xmac;
 /// the next callback (X-MAC uses this to elide poll ticks that land
 /// mid-exchange, where the dense tick was a provable no-op).
 ///
-/// # Quiet-network replay
+/// # Quiet replay
 ///
-/// Packets enter the network only at application samples. A node that
-/// answers [`MacNode::holds_packets`] truthfully lets the engine know
-/// when the whole network is packet-free, and [`Ctx::quiet_until`]
-/// then bounds how long it stays so: until the next sample anywhere
+/// Packets enter the network only at application samples and move
+/// only to [`Ctx::parent`]. A node that answers
+/// [`MacNode::holds_packets`] truthfully lets the engine know which hop
+/// depths hold packets, and [`Ctx::quiet_until`] then bounds how long
+/// the depths a node can hear stay packet-free: until the next sample
+/// at the caller's depth minus one or deeper
 /// ([`Ctx::packet_free_until`] is the same bound for one node). A
 /// protocol whose every frame either carries or answers a packet
 /// (X-MAC, DMAC) may replay, instead of simulate, any wake whose whole
 /// window closes strictly before that bound — skipping whole stretches
-/// of them in `next_activity` and charging them lazily, in time order,
+/// of them in `next_activity` and charging them lazily, as one run,
 /// before its next radio action or at [`MacNode::on_horizon`]; LMAC
-/// replays a slot whose owner's heartbeat is provably bare. Two rules
+/// replays a slot whose owner's heartbeat is provably bare. Three rules
 /// keep this bit-identical to the dense schedule:
 ///
 /// * no handler of the node may touch the radio inside a replayed
 ///   window (X-MAC and DMAC skip only with no timer pending, see
 ///   [`Ctx::pending_timers`]);
+/// * no replayed wake may reach the node's next wake, replayed or
+///   simulated: a protocol whose wakes can outlast their period elides
+///   none;
 /// * a replayed exchange must be replayed by every party to it, from
 ///   the same global predicate evaluated at the same instant (an LMAC
 ///   slot owner and its parent both decide at the slot's wake).
@@ -99,7 +115,13 @@ pub trait MacNode: std::fmt::Debug + Send {
     /// or awaiting a retry. Queried after every callback while the
     /// engine keeps quiet bookkeeping ([`Ctx::quiet_until`]).
     ///
-    /// The default, `true`, keeps the network from ever counting as
+    /// The quiet bound trusts the protocol's packets to move only
+    /// sinkward: a packet this node holds was sampled here or came from
+    /// a child, and leaves only for [`Ctx::parent`]. A protocol that
+    /// sends packets anywhere else (flooding, detours, downstream
+    /// traffic) must not replay against [`Ctx::quiet_until`].
+    ///
+    /// The default, `true`, keeps every depth from ever counting as
     /// quiet, so a protocol that does not answer is never replayed
     /// around.
     fn holds_packets(&self) -> bool {

@@ -20,17 +20,21 @@
 //!   nothing, so the node reports no activity while busy and rejoins
 //!   its absolute poll grid (`phase + k·Tw`) on the first tick after it
 //!   returns to sleep;
-//! * idle polls of a quiet network. Every X-MAC frame carries a packet
-//!   or answers one (strobes and data come from a packet holder,
-//!   strobe-acks and acks answer them), so while no node holds a packet
-//!   nothing is on the air until the next sample
-//!   ([`Ctx::quiet_until`]). A sleeping node with nothing queued and no
-//!   timer pending jumps over every poll whose listen closes before
-//!   that instant and replays them into its ledger lazily — at its next
-//!   wake or sample, or at the horizon — as the startup-and-silence
-//!   the dense poll would have charged.
+//! * idle polls of a quiet neighborhood. Every X-MAC frame carries a
+//!   packet or answers one (strobes and data come from a packet holder,
+//!   strobe-acks and acks answer them), so while no node one hop
+//!   shallower or deeper holds a packet nothing reaches this node's
+//!   radio until the next sample there ([`Ctx::quiet_until`]). A
+//!   sleeping node with nothing queued and no timer pending jumps over
+//!   every poll whose listen closes before that instant — the jump is
+//!   found in closed form from the poll grid, then checked against it —
+//!   and replays the skipped polls lazily, in one step at its next wake
+//!   or sample or at the horizon, as the startup-and-silence the dense
+//!   polls would have charged. Where a poll outlasts the wake-up
+//!   interval, no poll is replayed.
 
-use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
+use super::wakes_clear;
+use crate::engine::{first_failing, Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -78,6 +82,9 @@ pub(crate) struct XmacNode {
     poll_listen: Seconds,
     max_retries: u32,
     coarse: bool,
+    /// Whether a poll (startup and listen) ends before the next tick, so
+    /// that quiet polls may be replayed. Fixed at start.
+    polls_clear: bool,
     /// Random phase of this node's poll grid, drawn at start.
     poll_phase: f64,
     /// Index of the next poll tick on the grid `phase + k·Tw`.
@@ -108,6 +115,7 @@ impl XmacNode {
             poll_listen,
             max_retries,
             coarse: scheduling == WakeMode::Coarse,
+            polls_clear: false,
             poll_phase: 0.0,
             next_tick: 0,
             replay_from: 0,
@@ -137,21 +145,35 @@ impl XmacNode {
             .after(self.poll_listen)
     }
 
-    /// Whether nothing of this node's own can wake its radio: asleep,
-    /// nothing queued, no timer pending. Its polls up to
-    /// [`Ctx::quiet_until`] then hear silence.
-    fn idle(&self, ctx: &Ctx<'_>) -> bool {
-        self.phase == Phase::Sleeping && !self.has_pending() && ctx.pending_timers() == 0
+    /// An idle poll: startup and poll listen in silence, then sleep.
+    fn idle_poll(&self, ctx: &Ctx<'_>) -> IdleWake {
+        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
+        IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(self.poll_listen))
     }
 
-    /// Charges the skipped quiet polls whose tick is due by now.
-    fn replay_polls(&mut self, ctx: &mut Ctx<'_>) {
-        while self.replay_from < self.next_tick && self.tick_time(self.replay_from) <= ctx.now() {
-            let end = self.poll_end(ctx, self.replay_from);
-            let tick = self.tick_time(self.replay_from);
-            ctx.replay_idle_wake(tick, Cause::CarrierSense, IdleWake::Listen(&[end]));
-            self.replay_from += 1;
-        }
+    /// Whether nothing of this node's own can wake its radio: asleep,
+    /// nothing queued, no timer pending. Its polls up to
+    /// [`Ctx::quiet_until`] then hear silence, and are replayed if each
+    /// ends before the next tick.
+    fn idle(&self, ctx: &Ctx<'_>) -> bool {
+        self.polls_clear
+            && self.phase == Phase::Sleeping
+            && !self.has_pending()
+            && ctx.pending_timers() == 0
+    }
+
+    /// Charges, in one step, the quiet polls before tick `to` whose tick
+    /// is due by now.
+    fn replay_polls(&mut self, ctx: &mut Ctx<'_>, to: u64) {
+        let poll = self.idle_poll(ctx);
+        let ticks = self.replay_from..to;
+        self.replay_from = ctx.replay_idle_wakes(
+            ticks,
+            |k| self.tick_time(k),
+            Cause::CarrierSense,
+            [poll; 2],
+            |_| 0,
+        );
     }
 
     /// The ack-listen gap after each strobe: turnaround, the ack
@@ -237,6 +259,7 @@ impl MacNode for XmacNode {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         // Desynchronize poll phases across nodes.
         self.poll_phase = ctx.random_range(0.0, self.wakeup.value());
+        self.polls_clear = wakes_clear(ctx.startup_delay() + self.poll_listen, self.wakeup);
         self.next_tick = 0;
         self.replay_from = 0;
     }
@@ -266,26 +289,30 @@ impl MacNode for XmacNode {
             }
             if self.idle(ctx) {
                 let quiet = ctx.quiet_until();
-                while self.poll_end(ctx, self.next_tick) < quiet {
-                    self.next_tick += 1;
-                }
+                let listen = ctx.startup_delay() + self.poll_listen;
+                let guess = (quiet.as_seconds() - listen).value() - self.poll_phase;
+                self.next_tick = first_failing(self.next_tick, guess / self.wakeup.value(), |k| {
+                    self.poll_end(ctx, k) < quiet
+                });
             }
         }
         Some(self.tick_time(self.next_tick))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
-        self.replay_polls(ctx);
         let k = self.next_tick;
         // The poll clock ticks regardless of activity.
         self.next_tick += 1;
+        // A quiet poll is replayed with the quiet polls skipped before
+        // it: it is the first poll of a quiet stretch, asked for while
+        // the network around the node was not yet quiet.
+        let quiet = self.idle(ctx) && self.poll_end(ctx, k) < ctx.quiet_until();
+        self.replay_polls(ctx, if quiet { k + 1 } else { k });
         self.replay_from = self.next_tick;
-        let end = self.poll_end(ctx, k);
-        if self.idle(ctx) && end < ctx.quiet_until() {
-            // The first poll of a quiet stretch: the node was last
-            // asked for its schedule before the network fell quiet.
-            ctx.replay_idle_wake(ctx.now(), Cause::CarrierSense, IdleWake::Listen(&[end]));
-        } else if self.phase == Phase::Sleeping {
+        if quiet {
+            return;
+        }
+        if self.phase == Phase::Sleeping {
             if self.has_pending() && !ctx.is_sink() {
                 // A queued packet or an interrupted retry (in_flight
                 // survives a failed exchange) takes priority over the
@@ -447,11 +474,11 @@ impl MacNode for XmacNode {
     }
 
     fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
-        self.replay_polls(ctx);
+        self.replay_polls(ctx, self.next_tick);
     }
 
     fn on_generate(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        self.replay_polls(ctx);
+        self.replay_polls(ctx, self.next_tick);
         self.queue.push_back(packet);
         self.try_begin_tx(ctx);
     }

@@ -47,6 +47,21 @@ impl SimTime {
         SimTime(self.0 + SimTime::from_seconds(duration).0)
     }
 
+    /// The elapsed nanoseconds since `earlier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` is later than `self`.
+    pub fn nanos_since(self, earlier: SimTime) -> u64 {
+        assert!(
+            earlier.0 <= self.0,
+            "time moved backward: {} < {}",
+            self.0,
+            earlier.0
+        );
+        self.0 - earlier.0
+    }
+
     /// The elapsed duration since `earlier`.
     ///
     /// # Panics
@@ -54,13 +69,7 @@ impl SimTime {
     /// Panics if `earlier` is later than `self` (time cannot flow
     /// backward in a monotone event loop).
     pub fn since(self, earlier: SimTime) -> Seconds {
-        assert!(
-            earlier.0 <= self.0,
-            "time moved backward: {} < {}",
-            self.0,
-            earlier.0
-        );
-        Seconds::new((self.0 - earlier.0) as f64 / 1e9)
+        Seconds::new(self.nanos_since(earlier) as f64 / 1e9)
     }
 }
 

@@ -15,7 +15,7 @@
 mod common;
 
 use common::{assert_identical, build, channels};
-use edmac_net::Topology;
+use edmac_net::{NodeId, RoutingTree, Topology};
 use edmac_phy::{SinrChannel, UnitDisk};
 use edmac_radio::{FrameSizes, Radio};
 use edmac_sim::{
@@ -202,29 +202,152 @@ fn coarse_equals_dense_when_the_horizon_cuts_a_quiet_window() {
     // run. Sixteen horizons spread over one period of each protocol's
     // schedule end the run inside the polls, cycles and slots that
     // quiet replay skips, so the horizon clamp is exercised on every
-    // window shape.
+    // window shape. With samples every 10 000 s most X-MAC and DMAC
+    // nodes never sample at all: their whole run, up to a last poll or
+    // cycle the horizon cuts, is replayed in one step at the horizon.
     for protocol in &trio() {
-        let period = match protocol.name() {
-            "X-MAC" => 0.1,
-            "DMAC" => 0.5,
-            _ => 0.01,
+        let (period, sample_periods) = match protocol.name() {
+            "X-MAC" => (0.1, &[100.0, 10_000.0][..]),
+            "DMAC" => (0.5, &[100.0, 10_000.0][..]),
+            _ => (0.01, &[100.0][..]),
         };
-        for step in 0..16 {
-            let horizon = 20.0 + period * f64::from(step) / 16.0;
+        for &sample_period in sample_periods {
+            for step in 0..16 {
+                let horizon = 20.0 + period * f64::from(step) / 16.0;
+                let run = |mode| {
+                    let cfg = SimConfig {
+                        duration: Seconds::new(horizon),
+                        sample_period: Seconds::new(sample_period),
+                        ..config(13, mode)
+                    };
+                    Simulation::ring(3, 4, protocol.as_ref(), cfg)
+                        .expect("buildable ring")
+                        .run()
+                };
+                assert_identical(
+                    &run(WakeMode::Coarse),
+                    &run(WakeMode::Dense),
+                    &format!(
+                        "{} horizon {horizon} s, samples every {sample_period} s",
+                        protocol.name()
+                    ),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn coarse_equals_dense_when_the_horizon_cuts_lmac_runs_across_frames() {
+    // A 48-slot frame leaves a leaf about 47 elided slots between its
+    // own slots, so its replayed runs of heard and silent slots cross
+    // frame boundaries. The horizons end the run 0–1.2 ms into a slot
+    // (inside a silent listen or a heard control) or in the startup
+    // leading it, at three consecutive slot indices, so both shapes of
+    // a run's last wake are cut across the ring.
+    let lmac = LmacSim {
+        slot: Seconds::from_millis(10.0),
+        frame_slots: 48,
+    };
+    for slot in 0..3 {
+        for offset_us in [
+            -600.0, -200.0, 0.0, 100.0, 200.0, 400.0, 700.0, 1000.0, 1200.0,
+        ] {
+            let horizon = 5.0 + 0.01 * f64::from(slot) + offset_us * 1e-6;
             let run = |mode| {
                 let cfg = SimConfig {
                     duration: Seconds::new(horizon),
                     sample_period: Seconds::new(100.0),
                     ..config(13, mode)
                 };
-                Simulation::ring(3, 4, protocol.as_ref(), cfg)
+                Simulation::ring(3, 4, &lmac, cfg)
                     .expect("buildable ring")
                     .run()
             };
             assert_identical(
                 &run(WakeMode::Coarse),
                 &run(WakeMode::Dense),
-                &format!("{} horizon {horizon} s", protocol.name()),
+                &format!("LMAC horizon {horizon} s"),
+            );
+        }
+    }
+}
+
+#[test]
+fn coarse_equals_dense_when_a_wake_outlasts_its_period() {
+    // An X-MAC poll (0.86 ms startup, 2.5 ms listen) outlasts a 3 ms
+    // wake-up interval, and an LMAC heard control (startup plus about a
+    // millisecond of airtime) outlasts a 1.5 ms slot: the dense
+    // scheduler finds the node still awake at the next tick or slot and
+    // skips it. Neither protocol elides such wakes; replaying them made
+    // the node's next simulated wake start inside the replayed one.
+    let protocols: [Box<dyn SimProtocol>; 2] = [
+        Box::new(XmacSim::new(Seconds::from_millis(3.0))),
+        Box::new(LmacSim::new(Seconds::from_millis(1.5))),
+    ];
+    for protocol in &protocols {
+        let run = |mode| {
+            let cfg = SimConfig {
+                duration: Seconds::new(5.0),
+                sample_period: Seconds::new(100.0),
+                ..config(13, mode)
+            };
+            Simulation::ring(2, 4, protocol.as_ref(), cfg)
+                .expect("buildable ring")
+                .run()
+        };
+        assert_identical(
+            &run(WakeMode::Coarse),
+            &run(WakeMode::Dense),
+            &format!("{} with wakes outlasting their period", protocol.name()),
+        );
+    }
+}
+
+#[test]
+fn coarse_equals_dense_on_a_deep_ring_with_busy_inner_rings() {
+    // Eight rings deep, with the first two sampling every half second:
+    // the inner rings always hold packets, so the network is never
+    // quiet as a whole, while the outer rings (sampling every 40 s)
+    // are quiet for their own depth and one up most of the time. Their
+    // polls and cycles replay against that depth-scoped bound.
+    let mut rng = StdRng::seed_from_u64(29);
+    let topo = Topology::ring_model(8, 3, &mut rng).expect("buildable ring");
+    let tree = RoutingTree::shortest_path(&topo.graph(), topo.sink()).expect("connected ring");
+    assert_eq!(tree.max_depth(), 8);
+    let mut traffic = TrafficProfile::uniform(topo.len(), Seconds::new(40.0));
+    for (u, period) in traffic.periods.iter_mut().enumerate() {
+        if tree.depth(NodeId::new(u)) <= 2 {
+            *period = Seconds::new(0.5);
+        }
+    }
+    let protocols: [Box<dyn SimProtocol>; 2] = [
+        Box::new(XmacSim::new(Seconds::from_millis(100.0))),
+        Box::new(DmacSim::new(Seconds::new(0.5))),
+    ];
+    for protocol in &protocols {
+        for channel in &channels() {
+            let run = |mode| {
+                build(
+                    &topo,
+                    protocol.as_ref(),
+                    channel.as_ref(),
+                    short_config(29, mode),
+                )
+                .with_traffic(traffic.clone())
+                .expect("valid profile")
+                .run()
+            };
+            let coarse = run(WakeMode::Coarse);
+            assert_eq!(
+                coarse.config().scheduling,
+                WakeMode::Coarse,
+                "mode that ran"
+            );
+            assert_identical(
+                &coarse,
+                &run(WakeMode::Dense),
+                &format!("{} deep ring on {}", protocol.name(), channel.name()),
             );
         }
     }
