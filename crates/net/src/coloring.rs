@@ -117,7 +117,6 @@ pub fn random_slot_assignment<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Option<Coloring> {
     let n = graph.len();
-    let neighborhoods: Vec<Vec<NodeId>> = graph.nodes().map(|u| graph.neighborhood(u, 2)).collect();
 
     // Fisher–Yates over the claiming order.
     let mut order: Vec<usize> = (0..n).collect();
@@ -128,12 +127,24 @@ pub fn random_slot_assignment<R: Rng + ?Sized>(
     const UNCOLORED: usize = usize::MAX;
     let mut colors = vec![UNCOLORED; n];
     let mut count = 0;
+    // `used[c] == claim`: slot `c` is taken within two hops of the
+    // claim in progress (the claim counter stamps the mask, so it never
+    // needs clearing).
+    let mut used = vec![usize::MAX; slots];
     let mut free: Vec<usize> = Vec::with_capacity(slots);
-    for i in order {
+    for (claim, &i) in order.iter().enumerate() {
+        for &v in graph.neighbors(NodeId::new(i)) {
+            for &w in std::iter::once(&v).chain(graph.neighbors(v)) {
+                // The claimant itself, two hops from itself, is still
+                // uncolored.
+                let c = colors[w.index()];
+                if c != UNCOLORED {
+                    used[c] = claim;
+                }
+            }
+        }
         free.clear();
-        free.extend(
-            (0..slots).filter(|&c| neighborhoods[i].iter().all(|v| colors[v.index()] != c)),
-        );
+        free.extend((0..slots).filter(|&c| used[c] != claim));
         if free.is_empty() {
             return None;
         }
@@ -201,6 +212,46 @@ mod tests {
         let c = random_slot_assignment(&g, 32, &mut rng).expect("32 slots fit");
         assert!(c.is_valid_for(&g));
         assert!(c.count() <= 32);
+    }
+
+    #[test]
+    fn random_assignment_matches_a_scan_of_each_neighborhood() {
+        // Each claim's free list, built from a mask, is the list a scan
+        // of every slot against the 2-hop neighborhood gives, in the
+        // same order, so the same draws pick the same slots.
+        let scan = |graph: &Graph, slots: usize, rng: &mut rand::rngs::StdRng| {
+            let n = graph.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut colors = vec![usize::MAX; n];
+            for i in order {
+                let near = graph.neighborhood(NodeId::new(i), 2);
+                let free: Vec<usize> = (0..slots)
+                    .filter(|&c| near.iter().all(|v| colors[v.index()] != c))
+                    .collect();
+                if free.is_empty() {
+                    return None;
+                }
+                colors[i] = free[rng.gen_range(0..free.len())];
+            }
+            Some(colors)
+        };
+        for seed in 0..6 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let g = Topology::uniform_disk(80, 2.5, &mut rng).unwrap().graph();
+            for slots in [12, 24, 40] {
+                let masked =
+                    random_slot_assignment(&g, slots, &mut rand::rngs::StdRng::seed_from_u64(seed));
+                let scanned = scan(&g, slots, &mut rand::rngs::StdRng::seed_from_u64(seed));
+                assert_eq!(
+                    masked.map(|c| c.colors),
+                    scanned,
+                    "seed {seed}, {slots} slots"
+                );
+            }
+        }
     }
 
     #[test]

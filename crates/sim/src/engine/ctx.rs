@@ -246,11 +246,11 @@ impl Ctx<'_> {
     /// network: the engine keeps no quiet bookkeeping there.
     pub fn quiet_until(&self) -> SimTime {
         let now = self.run.now;
-        let Some(depths) = &self.run.quiet else {
+        let Some(quiet) = &self.run.quiet else {
             return now;
         };
         let mut next = self.shared.end;
-        for depth in &depths[self.depth().saturating_sub(1)..] {
+        for depth in &quiet.depths[self.depth().saturating_sub(1)..] {
             if depth.holders > 0 || depth.packet_air > 0 {
                 return now;
             }
@@ -357,8 +357,8 @@ impl Ctx<'_> {
         st.counters.record_tx(kind, 1);
         st.set_mode(now, Mode::Tx, kind.tx_cause());
         st.tx_carries_packet = packet.is_some();
-        if let (true, Some(quiet)) = (packet.is_some(), &mut self.run.quiet) {
-            quiet[self.shared.depth[self.node.index()]].packet_air += 1;
+        if packet.is_some() {
+            self.run.count_packet_air(self.shared, self.node, true);
         }
 
         let end = self.shared.frame_end(now, kind);
@@ -404,14 +404,42 @@ impl Ctx<'_> {
     /// always `now` without quiet bookkeeping.
     pub fn packet_free_until(&self, node: NodeId) -> SimTime {
         let now = self.run.now;
-        if self.run.quiet.is_none() {
-            return now;
+        match &self.run.quiet {
+            Some(quiet) if !self.run.nodes[node.index()].holds => {
+                quiet.subtrees.sample(node).min(self.shared.end).max(now)
+            }
+            _ => now,
         }
-        let st = &self.run.nodes[node.index()];
-        if st.holds {
-            now
-        } else {
-            st.next_sample.min(self.shared.end).max(now)
+    }
+
+    /// The instant up to which no node in `node`'s routing subtree (the
+    /// node and everything that routes through it) can hold a packet:
+    /// the subtree's earliest pending application sample (capped at the
+    /// horizon) while none of its nodes
+    /// [holds packets](super::MacNode::holds_packets) or has a
+    /// packet-carrying frame on the air, and `now` otherwise.
+    ///
+    /// Packets enter a subtree only at samples inside it and move only
+    /// to [`parent`](Ctx::parent), so a subtree found packet-free stays
+    /// so until that sample: until then every evaluation, at any instant
+    /// and by any node, returns the same bound. It is never later than
+    /// [`packet_free_until`](Ctx::packet_free_until)`(node)`. Answering
+    /// is O(log n); the engine updates the per-subtree counts along the
+    /// parent chain whenever a node starts or stops holding packets or
+    /// a packet frame goes on or off the air.
+    ///
+    /// Like [`quiet_until`](Ctx::quiet_until) always `now` without quiet
+    /// bookkeeping (under [`WakeMode::Dense`](super::WakeMode::Dense) and
+    /// with more than one network), which costs those runs nothing.
+    pub fn subtree_free_until(&self, node: NodeId) -> SimTime {
+        let now = self.run.now;
+        match &self.run.quiet {
+            Some(quiet) if !quiet.subtrees.busy(node) => quiet
+                .subtrees
+                .earliest_sample(node)
+                .min(self.shared.end)
+                .max(now),
+            _ => now,
         }
     }
 
@@ -424,12 +452,12 @@ impl Ctx<'_> {
 
     /// Replays, straight into the energy ledger, the wake-ups `wakes`
     /// that the event-coarse scheduler elided, in one step: wake `k` at
-    /// `at(k)` (increasing in `k`) was a radio startup charged to
-    /// `cause`, then what the radio did once it was up, then sleep.
-    /// Wake `k` did `shapes[1]` if `second(k..k + 1)` is 1 and
-    /// `shapes[0]` otherwise; `second(r)` counts the wakes of any `r`
-    /// that did `shapes[1]` (`|_| 0` for a run of one shape). A single
-    /// wake is the run `k..k + 1`.
+    /// `at(k)` (increasing in `k`) was a radio startup, then what the
+    /// radio did once it was up, then sleep. Each wake has one of the
+    /// `shapes`, each shape with the cause its startup (and listening)
+    /// is charged to; `count(r)` counts the wakes of any `r` that had
+    /// each shape (`|r| [r.end - r.start]` for a run of one shape). A
+    /// single wake is the run `k..k + 1`.
     ///
     /// Only the wakes due by now are replayed; returns the first index
     /// of `wakes` that is not. A wake the node was not asleep across is
@@ -460,13 +488,12 @@ impl Ctx<'_> {
     /// single in-range owner, a poll or cycle before
     /// [`quiet_until`](Ctx::quiet_until) — and only if no handler of
     /// this node touches the radio inside the replayed windows.
-    pub fn replay_idle_wakes(
+    pub fn replay_idle_wakes<const N: usize>(
         &mut self,
         wakes: Range<u64>,
         at: impl Fn(u64) -> SimTime,
-        cause: Cause,
-        shapes: [IdleWake; 2],
-        second: impl Fn(Range<u64>) -> u64,
+        shapes: [(IdleWake, Cause); N],
+        count: impl Fn(Range<u64>) -> [u64; N],
     ) -> u64 {
         let now = self.run.now;
         let (start, end) = (wakes.start, wakes.end);
@@ -479,28 +506,41 @@ impl Ctx<'_> {
         if first == due {
             return due;
         }
-        let shape = |k: u64| shapes[usize::from(second(k..k + 1) == 1)];
+        let shape = |k: u64| {
+            let i = count(k..k + 1).iter().position(|&n| n == 1);
+            shapes[i.expect("every wake has one shape")]
+        };
         let active = |wake: IdleWake| self.active_nanos(wake);
         let last = due - 1;
-        let longest = active(shapes[0]).max(active(shapes[1]));
+        let longest = shapes.iter().map(|&(s, _)| active(s)).max().unwrap_or(0);
         assert!(
             first == last || at(first + 1).nanos_since(at(first)) >= longest + GAP_SLACK_NS,
             "node {}: a replayed wake of {longest} ns reaches the next",
             self.node
         );
         debug_assert!(
-            (first..last).all(|k| at(k + 1).nanos_since(at(k)) >= active(shape(k))),
+            (first..last).all(|k| at(k + 1).nanos_since(at(k)) >= active(shape(k).0)),
             "node {}: a replayed wake reaches the next",
             self.node
         );
+        let before = count(first..last);
         debug_assert_eq!(
-            second(first..last),
-            (first..last).map(|k| second(k..k + 1)).sum::<u64>(),
-            "second shape miscounted"
+            before,
+            (first..last).fold([0; N], |mut sum, k| {
+                sum.iter_mut()
+                    .zip(count(k..k + 1))
+                    .for_each(|(s, n)| *s += n);
+                sum
+            }),
+            "shapes miscounted"
         );
-        let n2 = second(first..last);
-        let before = [(shapes[0], last - first - n2), (shapes[1], n2)];
-        self.replay_run(at(last), shape(last), before, cause);
+        debug_assert_eq!(
+            before.iter().sum::<u64>(),
+            last - first,
+            "shapes miscounted"
+        );
+        self.replay_run(at(last), shape(last), &shapes, &before);
+        self.run.stats.wakes_replayed += due - first;
         due
     }
 
@@ -515,21 +555,21 @@ impl Ctx<'_> {
         }
     }
 
-    /// Charges the wakes `before` (each shape whole, times its count),
-    /// then the last wake, at `last_at`, of shape `last`, clamped at the
-    /// horizon, and the sleep around them all; the node sleeps from the
-    /// end of the last wake.
+    /// Charges `counts[i]` whole wakes of each of the `shapes`, then the
+    /// last wake, at `last_at`, of shape `last`, clamped at the horizon,
+    /// and the sleep around them all; the node sleeps from the end of
+    /// the last wake.
     fn replay_run(
         &mut self,
         last_at: SimTime,
-        last: IdleWake,
-        before: [(IdleWake, u64); 2],
-        cause: Cause,
+        (last, last_cause): (IdleWake, Cause),
+        shapes: &[(IdleWake, Cause)],
+        counts: &[u64],
     ) {
         let shared = self.shared;
         let (end, startup) = (shared.end.as_nanos(), shared.startup_ns);
         let mut busy = 0;
-        for (shape, n) in before {
+        for (&(shape, cause), &n) in shapes.iter().zip(counts) {
             let active = self.active_nanos(shape);
             busy += n * active;
             let st = &mut self.run.nodes[self.node.index()];
@@ -537,7 +577,7 @@ impl Ctx<'_> {
             charge_piece(st, shape, cause, n * (active - startup), n);
         }
         let woke = last_at.as_nanos().min(end);
-        let ready = (last_at.as_nanos() + startup).min(end);
+        let ready = last_at.as_nanos() + startup;
         let stop = last_at.as_nanos() + self.active_nanos(last);
         // The dense run counts a frame at its event: the send at
         // radio-up, the reception at its last bit (the frame starts the
@@ -551,8 +591,10 @@ impl Ctx<'_> {
         let st = &mut self.run.nodes[self.node.index()];
         let slept = woke - st.radio.since.as_nanos() - busy;
         st.ledger.charge(Mode::Sleep, Cause::Sleep, slept);
-        st.ledger.charge(Mode::Startup, cause, ready - woke);
-        charge_piece(st, last, cause, stop.min(end) - ready, u64::from(counted));
+        st.ledger
+            .charge(Mode::Startup, last_cause, ready.min(end) - woke);
+        let up = stop.min(end) - ready.min(end);
+        charge_piece(st, last, last_cause, up, u64::from(counted));
         st.radio.since = SimTime::from_nanos(stop.min(end));
     }
 
@@ -673,13 +715,21 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     struct Seen {
         what: &'static str,
+        node: NodeId,
+        parent: Option<NodeId>,
         depth: usize,
         now: SimTime,
         quiet: SimTime,
+        /// [`Ctx::subtree_free_until`] of the node and of its parent.
+        subtree: SimTime,
+        parent_subtree: Option<SimTime>,
     }
 
-    /// Every observation, and every sample with its node's depth.
-    type Log = std::sync::Arc<std::sync::Mutex<(Vec<Seen>, Vec<(SimTime, usize)>)>>;
+    /// Every observation, every sample with its node's depth, and every
+    /// sample with its node.
+    type Log = std::sync::Arc<
+        std::sync::Mutex<(Vec<Seen>, Vec<(SimTime, usize)>, Vec<(SimTime, NodeId)>)>,
+    >;
 
     /// Probes `quiet_until` on a 0.37 s clock and logs every sample it
     /// drops; node `talker` (if any) sends one packet at 5 s.
@@ -694,9 +744,13 @@ mod tests {
         fn see(&self, ctx: &Ctx<'_>, what: &'static str) {
             let seen = Seen {
                 what,
+                node: ctx.me(),
+                parent: ctx.parent(),
                 depth: ctx.depth(),
                 now: ctx.now(),
                 quiet: ctx.quiet_until(),
+                subtree: ctx.subtree_free_until(ctx.me()),
+                parent_subtree: ctx.parent().map(|p| ctx.subtree_free_until(p)),
             };
             self.log.lock().expect("test log").0.push(seen);
         }
@@ -733,8 +787,9 @@ mod tests {
         }
         fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
         fn on_generate(&mut self, ctx: &mut Ctx<'_>, _: Packet) {
-            let sample = (ctx.now(), ctx.depth());
-            self.log.lock().expect("test log").1.push(sample);
+            let mut log = self.log.lock().expect("test log");
+            log.1.push((ctx.now(), ctx.depth()));
+            log.2.push((ctx.now(), ctx.me()));
         }
         fn holds_packets(&self) -> bool {
             self.holds
@@ -772,9 +827,29 @@ mod tests {
             }) as Box<dyn MacNode>
         });
         drop(deep_ring_run(&probes, scheduling, networks, depth));
-        let (seen, mut generates) = log.lock().expect("test log").clone();
+        let (seen, mut generates, _) = log.lock().expect("test log").clone();
         generates.sort();
         (seen, generates)
+    }
+
+    /// Probes on a ring `depth` hops deep under coarse wakes, `talker`
+    /// sending one packet at 5 s: what they saw, and every sample with
+    /// its node.
+    fn subtree_probe_run(
+        talker: Option<usize>,
+        depth: usize,
+    ) -> (Vec<Seen>, Vec<(SimTime, NodeId)>) {
+        let log = Log::default();
+        let probes = Scripted(|u| {
+            Box::new(Probe {
+                holds: false,
+                talker: talker == Some(u),
+                log: log.clone(),
+            }) as Box<dyn MacNode>
+        });
+        drop(deep_ring_run(&probes, WakeMode::Coarse, 1, depth));
+        let (seen, _, samples) = log.lock().expect("test log").clone();
+        (seen, samples)
     }
 
     #[test]
@@ -834,6 +909,7 @@ mod tests {
             let (seen, _) = probe_run(None, None, scheduling, networks);
             assert!(!seen.is_empty(), "{label}");
             assert!(seen.iter().all(|s| s.quiet == s.now), "{label}");
+            assert!(seen.iter().all(|s| s.subtree == s.now), "{label}");
         }
     }
 
@@ -871,6 +947,62 @@ mod tests {
         assert!(
             shallow.iter().all(|s| s.quiet == s.now),
             "depth 2 sees the holder at depth 1"
+        );
+    }
+
+    #[test]
+    fn subtree_free_until_is_the_next_sample_below_a_node() {
+        let end = SimTime::from_seconds(Seconds::new(20.0));
+        let (seen, samples) = subtree_probe_run(None, 4);
+        let parent: std::collections::HashMap<NodeId, Option<NodeId>> =
+            seen.iter().map(|s| (s.node, s.parent)).collect();
+        let below = |v: NodeId, root: NodeId| {
+            std::iter::successors(Some(v), |u| parent.get(u).copied().flatten()).any(|u| u == root)
+        };
+        let mut ahead = 0;
+        for s in &seen {
+            if samples.iter().any(|&(g, _)| g == s.now) {
+                continue; // a sample at this very instant may or may not be pending
+            }
+            let next = samples
+                .iter()
+                .filter(|&&(g, v)| g > s.now && below(v, s.node))
+                .map(|&(g, _)| g.min(end))
+                .min()
+                .unwrap_or(end);
+            assert_eq!(s.subtree, next, "{s:?}");
+            // Never later than the node's own bound, and never earlier
+            // than its parent's, whose subtree holds its own.
+            let own = samples
+                .iter()
+                .filter(|&&(g, v)| g > s.now && v == s.node)
+                .map(|&(g, _)| g.min(end))
+                .min()
+                .unwrap_or(end);
+            assert!(s.subtree <= own, "{s:?}");
+            assert!(s.parent_subtree.is_none_or(|p| p <= s.subtree), "{s:?}");
+            ahead += usize::from(s.subtree > s.quiet);
+        }
+        assert!(ahead > 10, "subtree bounds past the depth bound: {ahead}");
+    }
+
+    #[test]
+    fn subtree_free_until_is_now_while_the_subtree_has_a_packet_on_the_air() {
+        let (seen, _) = subtree_probe_run(Some(9), 2);
+        let sending = seen
+            .iter()
+            .find(|s| s.what == "sending")
+            .expect("talker sent");
+        assert_eq!(sending.subtree, sending.now, "its own frame is on the air");
+        assert_eq!(
+            sending.parent_subtree,
+            Some(sending.now),
+            "its parent's subtree holds the frame too"
+        );
+        let sent = seen.iter().find(|s| s.what == "sent").expect("frame ended");
+        assert!(
+            sent.subtree > sent.now,
+            "free again once the frame is off the air"
         );
     }
 

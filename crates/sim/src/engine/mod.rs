@@ -62,7 +62,9 @@ pub enum WakeMode {
     /// DMAC cycles whose whole window closes before it are replayed
     /// instead of simulated ([`Ctx::quiet_until`]); LMAC does the same
     /// for a slot whose owner is packet-free past its control
-    /// ([`Ctx::packet_free_until`]).
+    /// ([`Ctx::packet_free_until`]), and for the slot's heartbeats in
+    /// later frames while the owner's whole routing subtree stays
+    /// packet-free ([`Ctx::subtree_free_until`]).
     ///
     /// Replays are exact because the energy ledger keeps integer
     /// nanoseconds per `(mode, cause)` bucket: a coarse run matches the
@@ -145,6 +147,21 @@ impl BurstWindows {
         // cold-start traffic stays nominal).
         now.as_seconds().value() >= every && t < self.duration.value()
     }
+}
+
+/// The work a run did, beside its [`SimReport`] rather than inside it,
+/// so that reports stay bit-identical whatever the engine skips. Two
+/// runs that differ only in how they schedule wakes (say
+/// [`WakeMode::Coarse`] against [`WakeMode::Dense`]) report the same
+/// bytes but different work; these counts tell them apart without a
+/// timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunStats {
+    /// Wakes the engine fired: calls of [`MacNode::on_wake`].
+    pub wakes_fired: u64,
+    /// Wakes charged by [`Ctx::replay_idle_wakes`] instead of being
+    /// simulated. A wake replayed at its own firing counts here too.
+    pub wakes_replayed: u64,
 }
 
 /// Per-node application traffic: mean sampling periods (the sink's
@@ -443,7 +460,13 @@ impl Simulation {
     /// multi-network build this is the first report of
     /// [`run_coexistence`](Simulation::run_coexistence).)
     pub fn run(self) -> SimReport {
-        self.run_coexistence().swap_remove(0)
+        self.run_with_stats().0
+    }
+
+    /// [`run`](Simulation::run), with the work the run did.
+    pub fn run_with_stats(self) -> (SimReport, RunStats) {
+        let (mut reports, stats) = self.execute();
+        (reports.swap_remove(0), stats)
     }
 
     /// Runs a coexistence simulation to completion and returns one
@@ -454,9 +477,15 @@ impl Simulation {
     /// apply per network unchanged.
     ///
     /// On a single-network build this returns `vec![self.run()]`.
-    pub fn run_coexistence(mut self) -> Vec<SimReport> {
-        let nodes = run::execute(&self.shared, &mut self.machines);
-        collect_reports(&self.shared, &self.network_names, nodes)
+    pub fn run_coexistence(self) -> Vec<SimReport> {
+        self.execute().0
+    }
+
+    /// Runs to the horizon: one report per network, and the work done.
+    fn execute(mut self) -> (Vec<SimReport>, RunStats) {
+        let (nodes, stats) = run::execute(&self.shared, &mut self.machines);
+        let reports = collect_reports(&self.shared, &self.network_names, nodes);
+        (reports, stats)
     }
 }
 
@@ -646,7 +675,7 @@ mod tests {
             for scheduling in [WakeMode::Coarse, WakeMode::Dense] {
                 let cfg = SimConfig { scheduling, ..cfg };
                 let mut sim = Simulation::ring(2, 4, protocol.as_ref(), cfg).unwrap();
-                let nodes = run::execute(&sim.shared, &mut sim.machines);
+                let (nodes, _) = run::execute(&sim.shared, &mut sim.machines);
                 for (u, st) in nodes.iter().enumerate() {
                     assert_eq!(
                         st.ledger.charged_nanos(),

@@ -13,7 +13,7 @@
 //! run in key order, never insertion order.
 
 use super::ctx::Ctx;
-use super::{node_stream, SimConfig, TrafficProfile, WakeMode};
+use super::{node_stream, RunStats, SimConfig, TrafficProfile, WakeMode};
 use crate::events::{AirSlab, Event};
 use crate::frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 use crate::protocols::MacNode;
@@ -92,9 +92,6 @@ pub(super) struct NodeState {
     pub(super) holds: bool,
     /// Whether the frame this node has on the air carries a packet.
     pub(super) tx_carries_packet: bool,
-    /// The instant of this node's pending application sample (never,
-    /// at a sink).
-    pub(super) next_sample: SimTime,
     /// Records of packets *originating* here, in creation order: the
     /// packet with id `(node << 32) | k` is `records[k]`, because
     /// `Generate` mints the id and pushes the record together.
@@ -127,7 +124,6 @@ impl NodeState {
             cancelled_timers: Vec::new(),
             holds: true,
             tx_carries_packet: false,
-            next_sample: SimTime::from_nanos(u64::MAX),
             records: Vec::new(),
         }
     }
@@ -231,10 +227,21 @@ pub(super) struct RunState {
     pub(super) nodes: Vec<NodeState>,
     /// The transmissions the queued air batches name.
     pub(super) air: AirSlab,
-    /// The quiet-network bookkeeping, one entry per hop depth; `None`
-    /// (and [`Ctx::quiet_until`] always `now`) unless the run is one
-    /// network under [`WakeMode::Coarse`].
-    pub(super) quiet: Option<Vec<QuietLedger>>,
+    /// The quiet-network bookkeeping; `None` (and [`Ctx::quiet_until`]
+    /// always `now`) unless the run is one network under
+    /// [`WakeMode::Coarse`].
+    pub(super) quiet: Option<Quiet>,
+    /// The work the run has done so far.
+    pub(super) stats: RunStats,
+}
+
+/// What the quiet bounds need to know: per hop depth for
+/// [`Ctx::quiet_until`], per routing subtree for
+/// [`Ctx::subtree_free_until`].
+#[derive(Debug)]
+pub(super) struct Quiet {
+    pub(super) depths: Vec<QuietLedger>,
+    pub(super) subtrees: SubtreeLedger,
 }
 
 /// What [`Ctx::quiet_until`] needs to know about the nodes at one hop
@@ -247,6 +254,109 @@ pub(super) struct QuietLedger {
     pub(super) packet_air: usize,
     /// The time of every pending `Generate` (one per non-sink node).
     pub(super) generates: BinaryHeap<Reverse<SimTime>>,
+}
+
+/// What [`Ctx::subtree_free_until`] needs to know about each routing
+/// subtree: a few words per node.
+#[derive(Debug)]
+pub(super) struct SubtreeLedger {
+    /// Each node's position in an order of the routing tree in which
+    /// its subtree is the `size` positions from there on.
+    pos: Vec<u32>,
+    size: Vec<u32>,
+    /// Per node, the holders in its subtree plus the packet-carrying
+    /// frames its subtree has on the air.
+    busy: Vec<u32>,
+    /// A min-tree over every node's pending sample instant (never, at
+    /// a sink): node `n + pos` is a leaf, node `i < n` the earlier of
+    /// nodes `2i` and `2i + 1`.
+    samples: Vec<SimTime>,
+}
+
+impl SubtreeLedger {
+    /// The ledger of the routing forest `parent` (`depth` each node's
+    /// hop distance from its root), every node counted as a holder and
+    /// no sample pending.
+    fn new(parent: &[Option<NodeId>], depth: &[usize]) -> SubtreeLedger {
+        let n = parent.len();
+        let mut by_depth: Vec<usize> = (0..n).collect();
+        by_depth.sort_by_key(|&v| depth[v]);
+        // Sizes accumulate bottom-up, children before their parents.
+        let mut size = vec![1u32; n];
+        for &v in by_depth.iter().rev() {
+            if let Some(p) = parent[v] {
+                size[p.index()] += size[v];
+            }
+        }
+        // Top-down, each subtree takes the next free range inside its
+        // parent's (`free[p]`), right after the parent itself.
+        let (mut pos, mut free) = (vec![0u32; n], vec![0u32; n]);
+        let mut roots_free = 0;
+        for &v in &by_depth {
+            let next = parent[v].map_or(&mut roots_free, |p| &mut free[p.index()]);
+            pos[v] = *next;
+            *next += size[v];
+            free[v] = pos[v] + 1;
+        }
+        SubtreeLedger {
+            pos,
+            busy: size.clone(),
+            size,
+            samples: vec![SimTime::from_nanos(u64::MAX); 2 * n],
+        }
+    }
+
+    /// Counts one more (`up`) or one fewer holder or packet frame at
+    /// `node`, in its subtree and every subtree above it.
+    fn count(&mut self, parent: &[Option<NodeId>], node: NodeId, up: bool) {
+        let mut at = Some(node);
+        while let Some(v) = at {
+            let busy = &mut self.busy[v.index()];
+            *busy = if up { *busy + 1 } else { *busy - 1 };
+            at = parent[v.index()];
+        }
+    }
+
+    /// Records `node`'s pending sample instant.
+    fn set_sample(&mut self, node: NodeId, at: SimTime) {
+        let mut i = self.pos.len() + self.pos[node.index()] as usize;
+        self.samples[i] = at;
+        while i > 1 {
+            i /= 2;
+            self.samples[i] = self.samples[2 * i].min(self.samples[2 * i + 1]);
+        }
+    }
+
+    /// `node`'s pending sample instant.
+    pub(super) fn sample(&self, node: NodeId) -> SimTime {
+        self.samples[self.pos.len() + self.pos[node.index()] as usize]
+    }
+
+    /// Whether `node`'s subtree holds a packet or has one on the air.
+    pub(super) fn busy(&self, node: NodeId) -> bool {
+        self.busy[node.index()] > 0
+    }
+
+    /// The earliest pending sample instant in `node`'s subtree.
+    pub(super) fn earliest_sample(&self, node: NodeId) -> SimTime {
+        let n = self.pos.len();
+        let mut lo = n + self.pos[node.index()] as usize;
+        let mut hi = lo + self.size[node.index()] as usize;
+        let mut earliest = SimTime::from_nanos(u64::MAX);
+        while lo < hi {
+            if lo % 2 == 1 {
+                earliest = earliest.min(self.samples[lo]);
+                lo += 1;
+            }
+            if hi % 2 == 1 {
+                hi -= 1;
+                earliest = earliest.min(self.samples[hi]);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        earliest
+    }
 }
 
 impl RunState {
@@ -267,7 +377,10 @@ impl RunState {
             for &d in &shared.depth {
                 depths[d].holders += 1;
             }
-            depths
+            Quiet {
+                depths,
+                subtrees: SubtreeLedger::new(&shared.parent, &shared.depth),
+            }
         });
         RunState {
             now: SimTime::ZERO,
@@ -276,6 +389,17 @@ impl RunState {
             quiet,
             nodes,
             air: AirSlab::default(),
+            stats: RunStats::default(),
+        }
+    }
+
+    /// Counts one more (`up`) or one fewer packet-carrying frame on the
+    /// air from `node`.
+    pub(super) fn count_packet_air(&mut self, shared: &Shared, node: NodeId, up: bool) {
+        if let Some(quiet) = &mut self.quiet {
+            let air = &mut quiet.depths[shared.depth[node.index()]].packet_air;
+            *air = if up { *air + 1 } else { *air - 1 };
+            quiet.subtrees.count(&shared.parent, node, up);
         }
     }
 
@@ -299,25 +423,23 @@ impl RunState {
     fn schedule_generate(&mut self, node: NodeId, depth: usize, at: SimTime, round: u32) {
         let key = self.key_for(node, at, round);
         self.events.schedule(key, Event::Generate { node });
-        self.nodes[node.index()].next_sample = at;
         if let Some(quiet) = &mut self.quiet {
-            quiet[depth].generates.push(Reverse(at));
+            quiet.depths[depth].generates.push(Reverse(at));
+            quiet.subtrees.set_sample(node, at);
         }
     }
 
-    /// Records whether `node`, at hop `depth`, now holds packets.
-    fn note_holds(&mut self, node: NodeId, depth: usize, holds: bool) {
+    /// Records whether `node` now holds packets.
+    fn note_holds(&mut self, shared: &Shared, node: NodeId, holds: bool) {
         let st = &mut self.nodes[node.index()];
         if st.holds == holds {
             return;
         }
         st.holds = holds;
         if let Some(quiet) = &mut self.quiet {
-            if holds {
-                quiet[depth].holders += 1;
-            } else {
-                quiet[depth].holders -= 1;
-            }
+            let holders = &mut quiet.depths[shared.depth[node.index()]].holders;
+            *holders = if holds { *holders + 1 } else { *holders - 1 };
+            quiet.subtrees.count(&shared.parent, node, holds);
         }
     }
 
@@ -367,8 +489,11 @@ struct Engine<'a> {
 }
 
 /// Runs `machines`, one per global node, from the first sample to the
-/// horizon and returns the final node arena.
-pub(super) fn execute(shared: &Shared, machines: &mut [Box<dyn MacNode>]) -> Vec<NodeState> {
+/// horizon and returns the final node arena and the work done.
+pub(super) fn execute(
+    shared: &Shared,
+    machines: &mut [Box<dyn MacNode>],
+) -> (Vec<NodeState>, RunStats) {
     let run = RunState::new(shared, machines.len());
     let mut engine = Engine {
         shared,
@@ -378,7 +503,7 @@ pub(super) fn execute(shared: &Shared, machines: &mut [Box<dyn MacNode>]) -> Vec
     engine.seed_and_start();
     engine.advance();
     engine.finish();
-    engine.run.nodes
+    (engine.run.nodes, engine.run.stats)
 }
 
 /// A frame's first bit arrives at `node`, received at `power_mw`.
@@ -501,8 +626,8 @@ impl Engine<'_> {
         };
         f(machine, &mut ctx);
         if ctx.run.quiet.is_some() {
-            let depth = self.shared.depth[node.index()];
-            ctx.run.note_holds(node, depth, machine.holds_packets());
+            ctx.run
+                .note_holds(self.shared, node, machine.holds_packets());
         }
         let want = machine.next_activity(&mut ctx);
         self.run.register_wake(node, want);
@@ -519,7 +644,7 @@ impl Engine<'_> {
                 let now = run.now;
                 let depth = shared.depth[node.index()];
                 if let Some(quiet) = &mut run.quiet {
-                    let popped = quiet[depth].generates.pop();
+                    let popped = quiet.depths[depth].generates.pop();
                     debug_assert_eq!(popped, Some(Reverse(now)), "generates fire in time order");
                 }
                 let st = &mut run.nodes[node.index()];
@@ -625,9 +750,7 @@ impl Engine<'_> {
                 debug_assert_eq!(st.radio.mode, Mode::Tx);
                 st.set_mode(now, Mode::Listen, Cause::CarrierSense);
                 if std::mem::take(&mut st.tx_carries_packet) {
-                    if let Some(quiet) = &mut run.quiet {
-                        quiet[shared.depth[node.index()]].packet_air -= 1;
-                    }
+                    run.count_packet_air(shared, node, false);
                 }
                 self.with_node(node, round, |n, ctx| n.on_tx_done(ctx));
             }
@@ -658,6 +781,7 @@ impl Engine<'_> {
                 let node = NodeId::new(key.node as usize);
                 self.run.nodes[node.index()].wake_current = None;
                 self.run.now = key.at;
+                self.run.stats.wakes_fired += 1;
                 // Wakes carry round 0 and all fire before any event at the
                 // same instant, so their same-instant follow-ups land in
                 // round 1 — after every already-pending event.

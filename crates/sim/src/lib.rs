@@ -71,8 +71,8 @@ mod report;
 mod time;
 
 pub use engine::{
-    BurstWindows, CoexNetwork, Ctx, IdleWake, MacNode, SimConfig, Simulation, TrafficProfile,
-    WakeMode,
+    BurstWindows, CoexNetwork, Ctx, IdleWake, MacNode, RunStats, SimConfig, Simulation,
+    TrafficProfile, WakeMode,
 };
 pub use frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 pub use protocol::{DmacSim, LmacSim, ScpSim, SimProtocol, XmacSim};

@@ -184,9 +184,8 @@ impl DmacNode {
         self.replay_from = ctx.replay_idle_wakes(
             cycles,
             |k| self.lead(k).expect("a node with a wake slot"),
-            Cause::CarrierSense,
-            [IdleWake::Listen(self.idle_until); 2],
-            |_| 0,
+            [(IdleWake::Listen(self.idle_until), Cause::CarrierSense)],
+            |r| [r.end - r.start],
         );
     }
 

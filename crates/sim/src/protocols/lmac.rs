@@ -21,10 +21,11 @@
 //!   transmit, or a child's control may name us as data addressee):
 //!   these are the only slots that need simulated wakes;
 //! * **heard slots** — a non-child neighbor owns the slot. Exactly one
-//!   in-range owner exists (distance-2 reuse), it always transmits its
-//!   control, and the addressee can only be its parent — so the whole
-//!   wake (startup, one control reception, sleep) is deterministic and
-//!   replays through [`Ctx::replay_idle_wakes`] as a received control;
+//!   in-range owner exists (distance-2 reuse), it transmits its control
+//!   (it is asleep at its slot's wake, see below), and the addressee
+//!   can only be its parent — so the whole wake (startup, one control
+//!   reception, sleep) is deterministic and replays through
+//!   [`Ctx::replay_idle_wakes`] as a received control;
 //! * **silent slots** — no in-range owner: a startup, 300 µs of
 //!   provable silence and sleep, replayed as a silent listen.
 //!
@@ -34,28 +35,43 @@
 //! bit-identical reports (the `wake_equivalence` golden tests). The
 //! heard and silent slots between two wakes are replayed as one run, in
 //! one step: a per-index prefix count of the heard slots gives how many
-//! of the run's slots were heard without visiting them. Where a heard
-//! or silent wake could outlast its slot, no slot is elided.
+//! of the run's slots were heard without visiting them.
+//!
+//! Slots are elided only where a slot outlasts two radio startups, a
+//! control, a data frame and a millisecond. Every slot's activity, even
+//! slot 0's (woken at time zero rather than a startup early), then ends
+//! a millisecond before the next slot's wake: in a schedule-proven run
+//! every radio is asleep at every slot wake, so an owner never misses
+//! its own slot and no frame of one slot reaches into the next. Shorter
+//! slots are all simulated: there, a parent still receiving its child's
+//! data at the next slot's wake would skip its own slot, and a heard
+//! slot could be silent.
 //!
 //! The first class is data-dependent only while the slot's owner has
 //! data. When the owner holds no packet and samples none before its
-//! control ends ([`Ctx::packet_free_until`], the per-node bound behind
-//! [`Ctx::quiet_until`]), and both the owner and its parent are asleep
-//! at the slot's wake, the owner's control is a bare heartbeat and the
-//! parent hears exactly that: the owner replays its wake as a
-//! transmitted control and the parent as a received one. Both decide
-//! at the slot's wake instant from the same predicate about the same
-//! pair, so they never disagree — a condition only one side can see
-//! (the owner's pending timers, say) could let the owner skip a
-//! control its parent then waits for. Slots short of a control plus a
-//! data frame plus a millisecond never replay this way, so no frame of
-//! another slot can overlap the heartbeat. These slots still cost a
-//! wake each, but no radio startup event, timer or air event. Slot 0,
-//! the one slot every node wakes for, replays as heard or silent for
-//! every node it is neither the own nor a child slot of.
+//! control ends ([`Ctx::packet_free_until`]), the owner's control is a
+//! bare heartbeat and its parent hears exactly that: the owner replays
+//! its wake as a transmitted control and the parent as a received one.
+//!
+//! A heartbeat stays bare for as long as the owner's whole routing
+//! subtree stays packet-free: packets enter a subtree only at samples
+//! inside it and climb only to parents, so the owner cannot hold one
+//! before the subtree's next sample ([`Ctx::subtree_free_until`]). A
+//! replayed wake therefore also skips the slot's index ahead to the
+//! first frame whose control does not end strictly before that bound;
+//! the heartbeats in between join the elided runs, and are replayed in
+//! the same one step as the heard and silent slots around them. Owner
+//! and parent decide at the slot's wake, from the same predicate about
+//! the same pair at the same instant, so they never disagree (a
+//! condition only one side can see, such as the owner's pending timers,
+//! could let the owner skip a control its parent then waits for). A
+//! skip, once decided, is stable: the subtree stays empty until its
+//! next sample, a fixed instant every evaluator reads the same. A slot
+//! not skipped is decided again at its own wake. Slot 0, the one slot
+//! every node wakes for, replays as heard or silent for every node it
+//! is neither the own nor a child slot of.
 
-use super::wakes_clear;
-use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
+use crate::engine::{first_failing, Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_net::NodeId;
@@ -88,23 +104,37 @@ enum Phase {
     AwaitingData,
 }
 
+/// A slot index whose outcome is data-dependent for this node: its own
+/// slot or a tree child's.
+#[derive(Debug, Clone, Copy)]
+struct Relevant {
+    index: usize,
+    /// The tree child owning the slot (data may be addressed to this
+    /// node there), `None` for the own slot. Ids are the network's own;
+    /// they name engine nodes only in a single-network run, the only
+    /// kind in which [`Ctx::packet_free_until`] and
+    /// [`Ctx::subtree_free_until`] look at them.
+    child: Option<NodeId>,
+    /// The next global slot of this index to wake for (coarse mode).
+    /// The slots of this index between the last wake and this one are
+    /// bare heartbeats, replayed with the elided slots around them.
+    next: u64,
+}
+
 /// The LMAC per-node state machine.
 #[derive(Debug)]
 pub(crate) struct LmacNode {
     slot: Seconds,
     frame_slots: usize,
     my_slot: usize,
-    /// Per slot index, the tree child owning it (data may be addressed
-    /// to this node there): simulated wakes. Ids are the network's own;
-    /// they name engine nodes only in a single-network run, the only
-    /// kind in which [`Ctx::is_asleep`] and [`Ctx::packet_free_until`]
-    /// look at them.
-    child_owners: Vec<Option<NodeId>>,
-    /// `heard_before[i]`: how many of slot indices `0..i` are *heard*
-    /// slots, owned by non-child in-range neighbors and replayed as
-    /// deterministic heard controls (`frame_slots + 1` entries), so that
-    /// the heard slots of any run of global slots are counted without
-    /// visiting them.
+    /// The own and child slot indices, ascending: simulated wakes.
+    relevant: Vec<Relevant>,
+    /// `heard_before[i]`: how many of slot indices `0..i` an elided run
+    /// replays as a received control (`frame_slots + 1` entries): the
+    /// *heard* slots, owned by non-child in-range neighbors, and the
+    /// child slots, whose runs hold only skipped bare heartbeats. The
+    /// received controls of any run of global slots are thus counted
+    /// without visiting them.
     heard_before: Vec<u32>,
     /// The radio startup, in seconds, that each wake leads its slot by.
     startup: f64,
@@ -117,13 +147,6 @@ pub(crate) struct LmacNode {
     current_slot: u64,
     /// First global slot index not yet simulated or replayed.
     replay_from: u64,
-    /// Whether a slot outlasts a control plus a data frame with a
-    /// millisecond to spare, so no frame of one slot reaches into the
-    /// next and a bare heartbeat is heard cleanly.
-    heartbeats_fit: bool,
-    /// Per slot index: how many slots on the next own or child slot
-    /// index lies (0 for those themselves).
-    to_relevant: Vec<u32>,
     control_timer: u64,
     data_timer: u64,
 }
@@ -140,17 +163,21 @@ impl LmacNode {
         assert!(my_slot < frame_slots, "slot assignment exceeds frame");
         assert_eq!(child_owners.len(), frame_slots, "mask must cover the frame");
         assert_eq!(heard_slots.len(), frame_slots, "mask must cover the frame");
-        let relevant = |i: usize| i == my_slot || child_owners[i].is_some();
-        let to_relevant = (0..frame_slots)
-            .map(|i| {
-                (0..frame_slots)
-                    .position(|d| relevant((i + d) % frame_slots))
-                    .expect("the own slot is relevant") as u32
+        let relevant = (0..frame_slots)
+            .filter(|&i| i == my_slot || child_owners[i].is_some())
+            .map(|index| Relevant {
+                index,
+                child: child_owners[index],
+                next: index as u64,
             })
             .collect();
+        let received = heard_slots
+            .iter()
+            .zip(&child_owners)
+            .map(|(&heard, child)| heard || child.is_some());
         let heard_before = std::iter::once(0)
-            .chain(heard_slots.iter().scan(0, |n, &heard| {
-                *n += u32::from(heard);
+            .chain(received.scan(0, |n, received| {
+                *n += u32::from(received);
                 Some(*n)
             }))
             .collect();
@@ -158,17 +185,15 @@ impl LmacNode {
             slot,
             frame_slots,
             my_slot,
-            child_owners,
+            relevant,
             heard_before,
             startup: 0.0,
-            heartbeats_fit: false,
             coarse: scheduling == WakeMode::Coarse,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             next_slot: 0,
             current_slot: 0,
             replay_from: 0,
-            to_relevant,
             control_timer: u64::MAX,
             data_timer: u64::MAX,
         }
@@ -184,66 +209,84 @@ impl LmacNode {
         self.index(k) == self.my_slot
     }
 
-    /// How many heard slots global slots `0..k` hold.
+    /// How many of global slots `0..k` an elided run replays as a
+    /// received control.
     fn heard_upto(&self, k: u64) -> u64 {
         let per_frame = u64::from(self.heard_before[self.frame_slots]);
         (k / self.frame_slots as u64) * per_frame + u64::from(self.heard_before[self.index(k)])
     }
 
+    /// How many of global slots `0..k` are this node's own.
+    fn own_upto(&self, k: u64) -> u64 {
+        k / self.frame_slots as u64 + u64::from(self.index(k) > self.my_slot)
+    }
+
     /// Replays, in one step, the elided slots from `replay_from` up to
     /// `to` whose wake instant is due by now (the dense scheduler woke
-    /// for exactly those). Each is a deterministic heard control if an
-    /// in-range non-child owns it, provable silence otherwise: a
+    /// for exactly those). An own slot among them is a bare heartbeat
+    /// sent; a child slot is a bare heartbeat heard, and so is a slot
+    /// an in-range non-child owns; any other is provable silence: a
     /// startup, the control timeout of silence, and sleep.
     fn replay_elided(&mut self, ctx: &mut Ctx<'_>, to: u64) {
         let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
         let silent = IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(control_timeout()));
-        let heard = IdleWake::Receive(FrameKind::Control);
-        let slots = self.replay_from..to;
+        let shapes = [
+            (silent, Cause::SyncRx),
+            (IdleWake::Receive(FrameKind::Control), Cause::SyncRx),
+            (IdleWake::Transmit(FrameKind::Control), Cause::SyncTx),
+        ];
         self.replay_from = ctx.replay_idle_wakes(
-            slots,
+            self.replay_from..to,
             |k| self.lead(k),
-            Cause::SyncRx,
-            [silent, heard],
-            |r| self.heard_upto(r.end) - self.heard_upto(r.start),
+            shapes,
+            |r| {
+                let heard = self.heard_upto(r.end) - self.heard_upto(r.start);
+                let own = self.own_upto(r.end) - self.own_upto(r.start);
+                [r.end - r.start - heard - own, heard, own]
+            },
         );
     }
 
-    /// The owner of slot `k` and its parent, if this node is one of the
-    /// two: `(me, my parent)` in the own slot, `(child, me)` in a
-    /// child's. These are the only nodes that simulate the slot.
-    fn heartbeat_pair(&self, ctx: &Ctx<'_>, k: u64) -> Option<(NodeId, Option<NodeId>)> {
-        let i = self.index(k);
-        if i == self.my_slot {
-            Some((ctx.me(), ctx.parent()))
-        } else {
-            self.child_owners[i].map(|child| (child, Some(ctx.me())))
+    /// The owner of relevant slot `e` and its parent, the only nodes
+    /// that simulate the slot: `(me, my parent)` in the own slot,
+    /// `(child, me)` in a child's.
+    fn heartbeat_pair(&self, ctx: &Ctx<'_>, e: usize) -> (NodeId, Option<NodeId>) {
+        match self.relevant[e].child {
+            None => (ctx.me(), ctx.parent()),
+            Some(child) => (child, Some(ctx.me())),
         }
+    }
+
+    /// The end of the control section of global slot `k`.
+    fn control_end(&self, ctx: &Ctx<'_>, k: u64) -> SimTime {
+        self.lead(k)
+            .after(ctx.startup_delay())
+            .after(ctx.airtime(FrameKind::Control))
     }
 
     /// Whether slot `k` is provably a bare heartbeat from `owner` that
-    /// `parent` hears cleanly: both radios asleep at the slot's wake,
-    /// and the owner packet-free until past its control's end. Owner
-    /// and parent evaluate this same predicate at the same instant, so
-    /// they always agree on whether the slot is replayed.
+    /// `parent` hears cleanly: the owner packet-free until past its
+    /// control's end. Owner and parent evaluate this same predicate at
+    /// the same instant, so they always agree on whether the slot is
+    /// replayed.
     fn bare_heartbeat(&self, ctx: &Ctx<'_>, k: u64, owner: NodeId, parent: Option<NodeId>) -> bool {
-        let control_end = self
-            .lead(k)
-            .after(ctx.startup_delay())
-            .after(ctx.airtime(FrameKind::Control));
-        self.heartbeats_fit
-            && ctx.is_asleep(owner)
-            && parent.is_none_or(|p| ctx.is_asleep(p))
-            && control_end < ctx.packet_free_until(owner)
+        let bare = self.control_end(ctx, k) < ctx.packet_free_until(owner);
+        debug_assert!(
+            !bare || (ctx.is_asleep(owner) && parent.is_none_or(|p| ctx.is_asleep(p))),
+            "slot {k}: a heartbeat pair is awake at the slot's wake"
+        );
+        bare
     }
 
-    /// The smallest relevant slot index `>= from` (any slot in dense
-    /// mode; the own slot bounds the scan in coarse mode).
-    fn next_relevant(&self, from: u64) -> u64 {
-        if !self.coarse {
-            return from;
-        }
-        from + u64::from(self.to_relevant[self.index(from)])
+    /// The first slot after `k` of `k`'s index whose control does not
+    /// end strictly before `bound`.
+    fn first_unbounded(&self, ctx: &Ctx<'_>, k: u64, bound: SimTime) -> u64 {
+        let n = self.frame_slots as u64;
+        let control = ctx.airtime(FrameKind::Control).value();
+        let guess =
+            ((bound.as_seconds().value() - control) / self.slot.value() - k as f64) / n as f64;
+        let frames = first_failing(1, guess, |m| self.control_end(ctx, k + m * n) < bound);
+        k + frames * n
     }
 
     /// The wake instant for global slot `k` (one startup early).
@@ -255,12 +298,12 @@ impl LmacNode {
 
 impl MacNode for LmacNode {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
-        // Slots are elided only where each wake, heard or silent, ends
-        // before the next slot's wake, even the first (led by a startup
-        // from time zero); otherwise every slot is simulated.
-        let heard = ctx.airtime(FrameKind::Control).max(control_timeout());
-        self.coarse &= wakes_clear(ctx.startup_delay() * 2.0 + heard, self.slot);
-        self.heartbeats_fit = ctx.airtime(FrameKind::Control)
+        // Slots are elided only where every slot's activity (a control,
+        // then at once the data, if any), even slot 0's, led by a startup
+        // from time zero, ends a millisecond before the next slot's wake;
+        // otherwise every slot is simulated.
+        self.coarse &= ctx.startup_delay() * 2.0
+            + ctx.airtime(FrameKind::Control)
             + ctx.airtime(FrameKind::Data)
             + Seconds::from_millis(1.0)
             < self.slot;
@@ -277,40 +320,44 @@ impl MacNode for LmacNode {
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
         let k = self.next_slot;
         self.current_slot = k;
-        // Commit the next boundary first, so a crash in this slot's
-        // logic cannot stall the schedule.
-        self.next_slot = self.next_relevant(k + 1);
-        let pair = self.heartbeat_pair(ctx, k);
+        let i = self.index(k);
+        let entry = self.relevant.iter().position(|r| r.index == i);
+        let asleep = self.phase == Phase::Sleeping;
+        let pair = entry.map(|e| self.heartbeat_pair(ctx, e));
+        let bare = self.coarse
+            && pair.is_some_and(|(owner, parent)| self.bare_heartbeat(ctx, k, owner, parent));
         // Slot 0, which every node attends, is heard or silent like any
         // elided slot for a node neither owning it nor parent to its
         // owner, so that an owner replaying its heartbeat there leaves
         // no listener waiting: it joins the run of elided slots the
-        // coarse schedule jumped over (empty in dense mode).
-        let elided = self.coarse && self.phase == Phase::Sleeping && pair.is_none();
+        // coarse schedule jumped over (empty in dense mode), as does a
+        // bare heartbeat.
+        let elided = self.coarse && asleep && (pair.is_none() || bare);
         self.replay_elided(ctx, if elided { k + 1 } else { k });
         self.replay_from = k + 1;
-        if elided {
-            return;
-        }
-        if self.phase != Phase::Sleeping {
-            // Still busy from the previous slot (e.g. long data
-            // reception): skip this boundary.
-            return;
-        }
-        if self.coarse {
-            let bare = |&(owner, parent): &(NodeId, Option<NodeId>)| {
-                self.bare_heartbeat(ctx, k, owner, parent)
+        if let Some((e, (owner, _))) = entry.zip(pair) {
+            // A bare heartbeat stays bare until the owner's subtree can
+            // next hold a packet; any other slot is decided anew at the
+            // next frame's wake.
+            self.relevant[e].next = if bare {
+                self.first_unbounded(ctx, k, ctx.subtree_free_until(owner))
+            } else {
+                k + self.frame_slots as u64
             };
-            if let Some((owner, _)) = pair.filter(bare) {
-                let (cause, wake) = if owner == ctx.me() {
-                    (Cause::SyncTx, IdleWake::Transmit(FrameKind::Control))
-                } else {
-                    (Cause::SyncRx, IdleWake::Receive(FrameKind::Control))
-                };
-                let at = self.lead(k);
-                ctx.replay_idle_wakes(k..k + 1, |_| at, cause, [wake; 2], |_| 0);
-                return;
-            }
+        }
+        self.next_slot = if self.coarse {
+            self.relevant
+                .iter()
+                .map(|r| r.next)
+                .min()
+                .expect("the own slot is relevant")
+        } else {
+            k + 1
+        };
+        if elided || !asleep {
+            // Replayed, or still busy from the previous slot (e.g. long
+            // data reception): skip this boundary.
+            return;
         }
         self.phase = Phase::WakingForSlot;
         let cause = if self.owns(k) {

@@ -67,8 +67,10 @@ pub(crate) fn wakes_clear(active: Seconds, gap: Seconds) -> bool {
 /// window closes strictly before that bound — skipping whole stretches
 /// of them in `next_activity` and charging them lazily, as one run,
 /// before its next radio action or at [`MacNode::on_horizon`]; LMAC
-/// replays a slot whose owner's heartbeat is provably bare. Three rules
-/// keep this bit-identical to the dense schedule:
+/// replays a slot whose owner's heartbeat is provably bare, and skips
+/// the slot's later heartbeats while the owner's routing subtree stays
+/// packet-free ([`Ctx::subtree_free_until`]). Three rules keep this
+/// bit-identical to the dense schedule:
 ///
 /// * no handler of the node may touch the radio inside a replayed
 ///   window (X-MAC and DMAC skip only with no timer pending, see
@@ -78,7 +80,13 @@ pub(crate) fn wakes_clear(active: Seconds, gap: Seconds) -> bool {
 ///   none;
 /// * a replayed exchange must be replayed by every party to it, from
 ///   the same global predicate evaluated at the same instant (an LMAC
-///   slot owner and its parent both decide at the slot's wake).
+///   slot owner and its parent both decide at the slot's wake). A
+///   decision made early, for wakes still to come, must be stable: an
+///   early skip holds only from a bound that no event before those
+///   wakes can move (a subtree's next sample, while it is packet-free),
+///   so every party reads the same bound whenever it decides, and a
+///   no-skip decision is made again, by every party, at the skipped
+///   wake itself.
 ///
 /// Implementations must be `Send`, so a built
 /// [`Simulation`](crate::Simulation) can be handed to another thread.

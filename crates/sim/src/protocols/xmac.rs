@@ -170,9 +170,8 @@ impl XmacNode {
         self.replay_from = ctx.replay_idle_wakes(
             ticks,
             |k| self.tick_time(k),
-            Cause::CarrierSense,
-            [poll; 2],
-            |_| 0,
+            [(poll, Cause::CarrierSense)],
+            |r| [r.end - r.start],
         );
     }
 

@@ -72,11 +72,18 @@ fn hundred_thousand_node_disk_outpaces_real_time() {
         frame_slots: 128,
     };
     let t = Instant::now();
-    let _ = build(&lmac).run();
-    let lmac_wall = t.elapsed();
+    let sim = build(&lmac);
+    let build_wall = t.elapsed();
+    let t = Instant::now();
+    let (_, stats) = sim.run_with_stats();
+    let run_wall = t.elapsed();
+    let lmac_wall = build_wall + run_wall;
     eprintln!(
-        "lmac sequential: {lmac_wall:.2?} for {HORIZON_S}s simulated ({:.1}x real time)",
-        HORIZON_S / lmac_wall.as_secs_f64()
+        "lmac sequential: {lmac_wall:.2?} for {HORIZON_S}s simulated ({:.1}x real time): \
+         built in {build_wall:.2?}, ran in {run_wall:.2?}, {} wakes fired, {} replayed",
+        HORIZON_S / lmac_wall.as_secs_f64(),
+        stats.wakes_fired,
+        stats.wakes_replayed
     );
     if release {
         assert!(

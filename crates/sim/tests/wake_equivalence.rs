@@ -19,8 +19,8 @@ use edmac_net::{NodeId, RoutingTree, Topology};
 use edmac_phy::{SinrChannel, UnitDisk};
 use edmac_radio::{FrameSizes, Radio};
 use edmac_sim::{
-    BurstWindows, CoexNetwork, DmacSim, LmacSim, ScpSim, SimConfig, SimProtocol, SimReport,
-    Simulation, TrafficProfile, WakeMode, XmacSim,
+    BurstWindows, CoexNetwork, DmacSim, LmacSim, RunStats, ScpSim, SimConfig, SimProtocol,
+    SimReport, Simulation, TrafficProfile, WakeMode, XmacSim,
 };
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
@@ -245,30 +245,55 @@ fn coarse_equals_dense_when_the_horizon_cuts_lmac_runs_across_frames() {
     // (inside a silent listen or a heard control) or in the startup
     // leading it, at three consecutive slot indices, so both shapes of
     // a run's last wake are cut across the ring.
-    let lmac = LmacSim {
-        slot: Seconds::from_millis(10.0),
-        frame_slots: 48,
-    };
-    for slot in 0..3 {
-        for offset_us in [
-            -600.0, -200.0, 0.0, 100.0, 200.0, 400.0, 700.0, 1000.0, 1200.0,
-        ] {
-            let horizon = 5.0 + 0.01 * f64::from(slot) + offset_us * 1e-6;
-            let run = |mode| {
-                let cfg = SimConfig {
-                    duration: Seconds::new(horizon),
-                    sample_period: Seconds::new(100.0),
-                    ..config(13, mode)
+    //
+    // With samples every 1000 s, every pair skips its heartbeats from
+    // the first frame to the horizon, so in 24-slot frames the horizon
+    // cuts a stretch of about 16 frames for owner and parent alike, at
+    // every slot index of a frame. A heartbeat whose control the
+    // horizon cuts is not bare (its control does not end before the
+    // horizon): its owner and parent wake for it and simulate it.
+    let cases = [
+        (
+            48,
+            100.0,
+            5.0,
+            0..3,
+            &[
+                -600.0, -200.0, 0.0, 100.0, 200.0, 400.0, 700.0, 1000.0, 1200.0,
+            ][..],
+        ),
+        (
+            24,
+            1000.0,
+            4.0,
+            0..24,
+            &[-600.0, -200.0, 0.0, 100.0, 200.0, 400.0, 700.0][..],
+        ),
+    ];
+    for (frame_slots, sample_period, start, slots, offsets_us) in cases {
+        let lmac = LmacSim {
+            slot: Seconds::from_millis(10.0),
+            frame_slots,
+        };
+        for slot in slots {
+            for offset_us in offsets_us {
+                let horizon = start + 0.01 * f64::from(slot) + offset_us * 1e-6;
+                let run = |mode| {
+                    let cfg = SimConfig {
+                        duration: Seconds::new(horizon),
+                        sample_period: Seconds::new(sample_period),
+                        ..config(13, mode)
+                    };
+                    Simulation::ring(3, 4, &lmac, cfg)
+                        .expect("buildable ring")
+                        .run()
                 };
-                Simulation::ring(3, 4, &lmac, cfg)
-                    .expect("buildable ring")
-                    .run()
-            };
-            assert_identical(
-                &run(WakeMode::Coarse),
-                &run(WakeMode::Dense),
-                &format!("LMAC horizon {horizon} s"),
-            );
+                assert_identical(
+                    &run(WakeMode::Coarse),
+                    &run(WakeMode::Dense),
+                    &format!("LMAC, {frame_slots}-slot frames, horizon {horizon} s"),
+                );
+            }
         }
     }
 }
@@ -442,4 +467,152 @@ fn coarse_runs_where_the_schedule_covers_every_air_link() {
     };
     let report = build(&ring, &lmac, &capture, config(7, WakeMode::Coarse)).run();
     assert_eq!(report.config().scheduling, WakeMode::Dense, "capture on");
+}
+
+/// Asserts that `run` reports the same bytes under coarse and dense
+/// wakes and that the coarse run stayed coarse; returns the wakes each
+/// fired.
+fn fired_coarse_and_dense(
+    run: impl Fn(WakeMode) -> (SimReport, RunStats),
+    label: &str,
+) -> (u64, u64) {
+    let (coarse, coarse_stats) = run(WakeMode::Coarse);
+    let (dense, dense_stats) = run(WakeMode::Dense);
+    assert_eq!(
+        coarse.config().scheduling,
+        WakeMode::Coarse,
+        "{label}: mode that ran"
+    );
+    assert_identical(&coarse, &dense, label);
+    (coarse_stats.wakes_fired, dense_stats.wakes_fired)
+}
+
+/// LMAC with 10 ms slots in 24-slot frames (0.24 s a frame).
+fn lmac() -> LmacSim {
+    LmacSim::new(Seconds::from_millis(10.0))
+}
+
+#[test]
+fn coarse_equals_dense_on_a_deep_lmac_ring_with_sparse_samples() {
+    // Eight rings deep, every node sampling every 200 s over a 60 s
+    // run: most subtrees stay packet-free for the whole run, so their
+    // owners and parents skip bare heartbeats for up to 250 frames at a
+    // time, while the few samples there are climb eight hops and end
+    // the stretch of every pair they pass.
+    let mut rng = StdRng::seed_from_u64(29);
+    let topo = Topology::ring_model(8, 3, &mut rng).expect("buildable ring");
+    for channel in &channels() {
+        let (coarse, dense) = fired_coarse_and_dense(
+            |mode| {
+                let cfg = SimConfig {
+                    duration: Seconds::new(60.0),
+                    sample_period: Seconds::new(200.0),
+                    ..config(29, mode)
+                };
+                build(&topo, &lmac(), channel.as_ref(), cfg).run_with_stats()
+            },
+            &format!("LMAC deep sparse ring on {}", channel.name()),
+        );
+        assert!(coarse * 50 < dense, "fired {coarse} of {dense} dense wakes");
+    }
+}
+
+#[test]
+fn coarse_equals_dense_when_a_deep_sample_ends_every_ancestor_stretch() {
+    // One node four hops deep samples every 3 s; nobody else samples
+    // within the run. Each of its packets ends the heartbeat stretch
+    // of every pair on its way up: the depth-1 owner three hops above
+    // it, and the pairs at depths 2, 3 and 4, each at a different
+    // frame. Everywhere else the run is one bare stretch.
+    let mut rng = StdRng::seed_from_u64(31);
+    let topo = Topology::ring_model(6, 3, &mut rng).expect("buildable ring");
+    let tree = RoutingTree::shortest_path(&topo.graph(), topo.sink()).expect("connected ring");
+    let deep = (0..topo.len())
+        .map(NodeId::new)
+        .find(|&u| tree.depth(u) == 4)
+        .expect("a node four hops deep");
+    let mut traffic = TrafficProfile::uniform(topo.len(), Seconds::new(1e6));
+    traffic.periods[deep.index()] = Seconds::new(3.0);
+    let (coarse, dense) = fired_coarse_and_dense(
+        |mode| {
+            build(&topo, &lmac(), &UnitDisk, short_config(31, mode))
+                .with_traffic(traffic.clone())
+                .expect("valid profile")
+                .run_with_stats()
+        },
+        "LMAC with one deep sampler",
+    );
+    assert!(coarse * 20 < dense, "fired {coarse} of {dense} dense wakes");
+}
+
+#[test]
+fn coarse_equals_dense_for_lmac_on_hotspot_and_burst_disks() {
+    // Sparse base traffic (a sample a minute) leaves long bare
+    // stretches; a hotspot quarter sampling every 5 s, or 8x burst
+    // windows every 20 s, keep ending them across the disk.
+    let mut rng = StdRng::seed_from_u64(61);
+    let topo = Topology::uniform_disk(50, 2.5, &mut rng).expect("connected disk");
+    let n = topo.len();
+    let mut hotspot = TrafficProfile::uniform(n, Seconds::new(60.0));
+    for i in (0..n).step_by(4) {
+        hotspot.periods[i] = Seconds::new(5.0);
+    }
+    let burst = TrafficProfile::uniform(n, Seconds::new(60.0)).with_bursts(BurstWindows {
+        every: Seconds::new(20.0),
+        duration: Seconds::new(4.0),
+        factor: 8.0,
+    });
+    for (label, traffic) in [("hotspot", hotspot), ("burst", burst)] {
+        let (coarse, dense) = fired_coarse_and_dense(
+            |mode| {
+                build(&topo, &lmac(), &UnitDisk, config(61, mode))
+                    .with_traffic(traffic.clone())
+                    .expect("valid profile")
+                    .run_with_stats()
+            },
+            &format!("LMAC {label} disk"),
+        );
+        assert!(
+            coarse * 4 < dense,
+            "{label}: fired {coarse} of {dense} dense wakes"
+        );
+    }
+}
+
+#[test]
+fn coarse_equals_dense_when_lmac_data_reaches_the_next_slot_wake() {
+    // On the CC1000 (2 ms startup, 5.2 ms data frames) an 8 ms slot
+    // fits a control, a data frame and a millisecond, but the data
+    // still ends after the next slot's wake, a startup early: sender
+    // and receiver are awake there, and the dense schedule skips that
+    // wake. A receiver that owns the next slot then sends no control in
+    // it, so its neighbors' heard slot is silent. Eliding slots here
+    // made them hear a control (136 too many at one node, at the
+    // parent of this change); no slot is elided now.
+    let lmac = LmacSim::new(Seconds::from_millis(8.0));
+    let mut rng = StdRng::seed_from_u64(17);
+    let ring = Topology::ring_model(3, 4, &mut rng).expect("buildable ring");
+    for seed in [17, 18] {
+        fired_coarse_and_dense(
+            |mode| {
+                let cfg = SimConfig {
+                    sample_period: Seconds::new(2.0),
+                    ..short_config(seed, mode)
+                };
+                Simulation::new(
+                    &[CoexNetwork {
+                        topology: &ring,
+                        protocol: &lmac,
+                    }],
+                    &UnitDisk,
+                    Radio::cc1000(),
+                    FrameSizes::default(),
+                    cfg,
+                )
+                .expect("buildable ring")
+                .run_with_stats()
+            },
+            &format!("LMAC on the CC1000, seed {seed}"),
+        );
+    }
 }
