@@ -38,12 +38,52 @@ impl Coloring {
 
     /// Verifies the distance-2 property on `graph`.
     pub fn is_valid_for(&self, graph: &Graph) -> bool {
+        let mut walk = TwoHop::new(graph);
         graph.nodes().all(|u| {
-            graph
-                .neighborhood(u, 2)
-                .iter()
-                .all(|&v| self.colors[u.index()] != self.colors[v.index()])
+            let mut valid = true;
+            walk.visit(u, |v| {
+                valid &= self.colors[u.index()] != self.colors[v.index()]
+            });
+            valid
         })
+    }
+}
+
+/// Walks 2-hop neighborhoods over one reusable stamp array, so that a
+/// walk costs the nodes it visits, not the size of the graph.
+struct TwoHop<'g> {
+    graph: &'g Graph,
+    /// `seen[v] == walk`: the walk in progress has visited `v`.
+    seen: Vec<usize>,
+    walk: usize,
+}
+
+impl<'g> TwoHop<'g> {
+    fn new(graph: &'g Graph) -> TwoHop<'g> {
+        TwoHop {
+            graph,
+            seen: vec![0; graph.len()],
+            walk: 0,
+        }
+    }
+
+    /// Calls `visit` once for every node within two hops of `node`, the
+    /// node itself excluded, in the order of
+    /// [`Graph::neighborhood`]`(node, 2)`.
+    fn visit(&mut self, node: NodeId, mut visit: impl FnMut(NodeId)) {
+        self.walk += 1;
+        let (graph, seen, walk) = (self.graph, &mut self.seen, self.walk);
+        seen[node.index()] = walk;
+        let near = graph.neighbors(node);
+        for &w in near
+            .iter()
+            .chain(near.iter().flat_map(|&v| graph.neighbors(v)))
+        {
+            if seen[w.index()] != walk {
+                seen[w.index()] = walk;
+                visit(w);
+            }
+        }
     }
 }
 
@@ -70,17 +110,24 @@ impl Coloring {
 /// ```
 pub fn distance_two_coloring(graph: &Graph) -> Coloring {
     let n = graph.len();
-    let neighborhoods: Vec<Vec<NodeId>> = graph.nodes().map(|u| graph.neighborhood(u, 2)).collect();
+    // Every 2-hop neighborhood, end to end: node `i`'s is
+    // `near[starts[i]..starts[i + 1]]`.
+    let (mut near, mut starts) = (Vec::new(), vec![0]);
+    let mut walk = TwoHop::new(graph);
+    for u in graph.nodes() {
+        walk.visit(u, |v| near.push(v));
+        starts.push(near.len());
+    }
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(neighborhoods[i].len()), i));
+    order.sort_by_key(|&i| (std::cmp::Reverse(starts[i + 1] - starts[i]), i));
 
     const UNCOLORED: usize = usize::MAX;
     let mut colors = vec![UNCOLORED; n];
     let mut count = 0;
     for i in order {
         let mut used: Vec<bool> = vec![false; count + 1];
-        for v in &neighborhoods[i] {
+        for v in &near[starts[i]..starts[i + 1]] {
             let c = colors[v.index()];
             if c != UNCOLORED && c < used.len() {
                 used[c] = true;
@@ -132,17 +179,14 @@ pub fn random_slot_assignment<R: Rng + ?Sized>(
     // needs clearing).
     let mut used = vec![usize::MAX; slots];
     let mut free: Vec<usize> = Vec::with_capacity(slots);
+    let mut walk = TwoHop::new(graph);
     for (claim, &i) in order.iter().enumerate() {
-        for &v in graph.neighbors(NodeId::new(i)) {
-            for &w in std::iter::once(&v).chain(graph.neighbors(v)) {
-                // The claimant itself, two hops from itself, is still
-                // uncolored.
-                let c = colors[w.index()];
-                if c != UNCOLORED {
-                    used[c] = claim;
-                }
+        walk.visit(NodeId::new(i), |w| {
+            let c = colors[w.index()];
+            if c != UNCOLORED {
+                used[c] = claim;
             }
-        }
+        });
         free.clear();
         free.extend((0..slots).filter(|&c| used[c] != claim));
         if free.is_empty() {
@@ -251,6 +295,39 @@ mod tests {
                     "seed {seed}, {slots} slots"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn coloring_and_its_check_match_a_scan_of_each_neighborhood() {
+        // The Welsh–Powell pass over per-node neighborhood scans, the
+        // reference the stamped walk must match color for color.
+        let scan = |graph: &Graph| {
+            let near: Vec<Vec<NodeId>> = graph.nodes().map(|u| graph.neighborhood(u, 2)).collect();
+            let mut order: Vec<usize> = (0..graph.len()).collect();
+            order.sort_by_key(|&i| (std::cmp::Reverse(near[i].len()), i));
+            let mut colors = vec![usize::MAX; graph.len()];
+            for i in order {
+                colors[i] = (0..)
+                    .find(|&c| near[i].iter().all(|v| colors[v.index()] != c))
+                    .expect("unbounded search");
+            }
+            colors
+        };
+        for seed in 0..6 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let g = Topology::uniform_disk(120, 3.0, &mut rng).unwrap().graph();
+            let coloring = distance_two_coloring(&g);
+            assert_eq!(coloring.colors, scan(&g), "seed {seed}");
+            assert!(coloring.is_valid_for(&g));
+            // Two nodes within two hops sharing a color are caught.
+            let (u, v) = g
+                .nodes()
+                .find_map(|u| Some((u, *g.neighborhood(u, 2).last()?)))
+                .expect("a 2-hop pair");
+            let mut clash = coloring.clone();
+            clash.colors[u.index()] = clash.colors[v.index()];
+            assert!(!clash.is_valid_for(&g), "seed {seed}");
         }
     }
 

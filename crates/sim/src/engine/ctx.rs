@@ -1,8 +1,9 @@
-//! [`Ctx`] and [`IdleWake`]: the API a node's handlers use to read the
-//! world and act on it. A `Ctx` lends one node the read-only world and
-//! the mutable run state of the `run` module for one callback.
+//! [`Ctx`]: the API a node's handlers use to read the world and act on
+//! it. A `Ctx` lends one node the read-only world and the mutable run
+//! state of the `run` module for one callback.
 
-use super::run::{NodeState, RunState, Shared};
+use super::clock::{IdleWake, WakeClock};
+use super::run::{RunState, Shared};
 use crate::events::Event;
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::queue::OrderKey;
@@ -12,99 +13,6 @@ use edmac_radio::{Cause, Mode};
 use edmac_units::Seconds;
 use rand::Rng;
 use std::ops::Range;
-
-/// What the radio did in a wake replayed through
-/// [`Ctx::replay_idle_wakes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdleWake {
-    /// Started up, then listened to silence until this many
-    /// nanoseconds after the wake (the startup included), then slept.
-    /// Listening is one ledger bucket, so where a protocol re-labels
-    /// its listen mid-wake (DMAC's transmit slot) makes no difference.
-    Listen(u64),
-    /// Received one frame of this kind, addressed elsewhere, starting
-    /// the instant the radio was up, then slept (LMAC's heartbeat from
-    /// a slot owner).
-    Receive(FrameKind),
-    /// Transmitted one frame of this kind the instant the radio was up,
-    /// then slept (LMAC's own-slot heartbeat).
-    Transmit(FrameKind),
-}
-
-/// Nanoseconds of slack in [`Ctx::replay_idle_wakes`]'s check that a
-/// run's wakes cannot reach one another: clock wakes are instants
-/// `base + k·period` rounded to whole nanoseconds, so two of their gaps
-/// differ by a nanosecond or two at most.
-const GAP_SLACK_NS: u64 = 4;
-
-/// The first `k >= from` for which `pred` fails, where `pred` holds on
-/// every index from `from` up to some point and fails from there on.
-///
-/// `guess` is a closed-form estimate of the answer (a clock's
-/// `(t − phase) / period`). It is corrected against `pred` itself, by
-/// galloping away from it and bisecting, so the answer is the one a
-/// scan from `from` would give whatever the rounding of the estimate.
-/// A good estimate costs two evaluations.
-pub(crate) fn first_failing(from: u64, guess: f64, pred: impl Fn(u64) -> bool) -> u64 {
-    let k = if guess > from as f64 {
-        guess.ceil() as u64
-    } else {
-        from
-    };
-    // Bracket the answer in `lo..=hi`: `pred` holds below `lo` (down to
-    // `from`) and fails at `hi`.
-    let (mut lo, mut hi) = if pred(k) {
-        let (mut lo, mut step) = (k + 1, 1);
-        loop {
-            let probe = lo + step - 1;
-            if !pred(probe) {
-                break (lo, probe);
-            }
-            lo = probe + 1;
-            step *= 2;
-        }
-    } else {
-        let (mut hi, mut step) = (k, 1);
-        loop {
-            if hi == from {
-                break (from, from);
-            }
-            let probe = hi.saturating_sub(step).max(from);
-            if pred(probe) {
-                break (probe + 1, hi);
-            }
-            hi = probe;
-            step *= 2;
-        }
-    };
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// Charges `nanos` of what the radio did in wakes of `shape` once it
-/// was up, listening charged to `cause`, and counts `frames` of the
-/// shape's frame.
-fn charge_piece(st: &mut NodeState, shape: IdleWake, cause: Cause, nanos: u64, frames: u64) {
-    let (mode, cause) = match shape {
-        IdleWake::Listen(_) => (Mode::Listen, cause),
-        IdleWake::Receive(kind) => {
-            st.counters.record_rx(kind, frames);
-            (Mode::Rx, kind.rx_cause(false))
-        }
-        IdleWake::Transmit(kind) => {
-            st.counters.record_tx(kind, frames);
-            (Mode::Tx, kind.tx_cause())
-        }
-    };
-    st.ledger.charge(mode, cause, nanos);
-}
 
 /// The node-facing API: everything a [`MacNode`](super::MacNode) may
 /// do to the world.
@@ -238,8 +146,7 @@ impl Ctx<'_> {
     ///   none enters those depths but by a sample there.
     ///
     /// A wake of such a protocol whose whole window closes *strictly
-    /// before* this instant may be replayed through
-    /// [`replay_idle_wakes`](Ctx::replay_idle_wakes) instead of
+    /// before* this instant may be [owed](Ctx::owe_wakes) instead of
     /// simulated. Answering is O(depth): no neighbor is scanned.
     ///
     /// Always `now` under [`WakeMode::Dense`](super::WakeMode::Dense) and with more than one
@@ -271,16 +178,96 @@ impl Ctx<'_> {
         self.run.nodes[self.node.index()].rng.gen_range(lo..hi)
     }
 
+    /// Registers this node's wake clock, once, from
+    /// [`MacNode::start`](super::MacNode::start): wake `k` is due at
+    /// `max(0, period·k + offset − lead)`, and `shapes` is the repeating
+    /// pattern of what an idle wake does, wake `k` taking entry
+    /// `k mod len`. A clock without shapes owes no wake.
+    pub fn set_wake_clock(
+        &mut self,
+        period: Seconds,
+        offset: Seconds,
+        lead: Seconds,
+        shapes: impl IntoIterator<Item = (IdleWake, Cause)>,
+    ) {
+        let (startup, airtime) = (self.shared.startup_ns, &self.shared.airtime_ns);
+        let clock = WakeClock::new(period, offset, lead, shapes, startup, airtime);
+        self.run.nodes[self.node.index()].clock = Some(clock);
+    }
+
+    /// This node's wake clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node registered none ([`Ctx::set_wake_clock`]).
+    pub fn wake_clock(&self) -> &WakeClock {
+        let clock = self.run.nodes[self.node.index()].clock.as_ref();
+        clock.expect("a wake clock registered at start")
+    }
+
+    /// Adds `wakes`, indices on this node's [wake clock](Ctx::wake_clock),
+    /// to the run of wakes it owes: wakes elided instead of simulated,
+    /// each charged to the ledger as its idle shape. The engine charges
+    /// the owed wakes due by now, in one step, whenever the radio leaves
+    /// or re-enters sleep ([`Ctx::wake`], [`Ctx::sleep`]) and at the
+    /// horizon; owed wakes past the horizon are never charged.
+    ///
+    /// A wake may be owed only where the node's schedule knowledge
+    /// proves its outcome (a silent slot, a heartbeat from the single
+    /// in-range owner, a poll or cycle before
+    /// [`quiet_until`](Ctx::quiet_until)), and only if the radio stays
+    /// asleep across it: the node must not start up before an owed wake
+    /// is due, and no handler may touch the radio inside its window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clock has no idle pattern, or unless `wakes`
+    /// continues the owed run (starts where it ends) or, once every
+    /// owed wake is charged, starts past it.
+    pub fn owe_wakes(&mut self, wakes: Range<u64>) {
+        if wakes.is_empty() {
+            return;
+        }
+        let clock = self.run.nodes[self.node.index()].clock.as_mut();
+        let clock = clock.expect("a wake clock registered at start");
+        assert!(!clock.shapes.is_empty(), "a shapeless clock owes nothing");
+        let owed = &mut clock.owed;
+        assert!(
+            wakes.start == owed.end || (owed.is_empty() && wakes.start > owed.end),
+            "node {}: wakes {wakes:?} do not continue the owed run {owed:?}",
+            self.node
+        );
+        if owed.is_empty() {
+            owed.start = wakes.start;
+        }
+        owed.end = wakes.end;
+    }
+
     /// Starts the radio from sleep; [`MacNode::on_radio_ready`](super::MacNode::on_radio_ready) fires
     /// after the startup delay. No-op unless sleeping.
     ///
     /// `cause` is charged for the startup period (poll startups are
     /// carrier-sense, schedule wake-ups are sync, ...).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the radio starts up with a wake still
+    /// [owed](Ctx::owe_wakes) that is not due yet: the node would be
+    /// awake across a wake it elided.
     pub fn wake(&mut self, cause: Cause) {
         let now = self.run.now;
         let st = &mut self.run.nodes[self.node.index()];
         if st.radio.mode != Mode::Sleep {
             return;
+        }
+        self.run.stats.wakes_replayed += st.charge_owed(self.shared, self.node, now);
+        if let Some(clock) = &st.clock {
+            assert!(
+                clock.owed.is_empty(),
+                "node {}: wakes {:?} are owed past its radio startup at {now}",
+                self.node,
+                clock.owed
+            );
         }
         st.set_mode(now, Mode::Startup, cause);
         st.radio.startup_token += 1;
@@ -311,6 +298,7 @@ impl Ctx<'_> {
             "node {} tried to sleep while transmitting",
             self.node
         );
+        self.run.stats.wakes_replayed += st.charge_owed(self.shared, self.node, now);
         st.active_rx = None;
         st.radio.startup_token += 1;
         st.set_mode(now, Mode::Sleep, Cause::Sleep);
@@ -399,9 +387,12 @@ impl Ctx<'_> {
 
     /// The instant up to which `node` provably holds no packet: its next
     /// application sample (capped at the horizon) while it
-    /// [holds none](super::MacNode::holds_packets), and `now` otherwise. The
-    /// per-node bound behind [`quiet_until`](Ctx::quiet_until), and like it
-    /// always `now` without quiet bookkeeping.
+    /// [holds none](super::MacNode::holds_packets), and `now` otherwise.
+    /// It reads only that node, where
+    /// [`quiet_until`](Ctx::quiet_until) reads whole hop depths and
+    /// [`subtree_free_until`](Ctx::subtree_free_until) a routing
+    /// subtree, and like them it is always `now` without quiet
+    /// bookkeeping.
     pub fn packet_free_until(&self, node: NodeId) -> SimTime {
         let now = self.run.now;
         match &self.run.quiet {
@@ -450,154 +441,6 @@ impl Ctx<'_> {
         self.run.quiet.is_some() && self.run.nodes[node.index()].radio.mode == Mode::Sleep
     }
 
-    /// Replays, straight into the energy ledger, the wake-ups `wakes`
-    /// that the event-coarse scheduler elided, in one step: wake `k` at
-    /// `at(k)` (increasing in `k`) was a radio startup, then what the
-    /// radio did once it was up, then sleep. Each wake has one of the
-    /// `shapes`, each shape with the cause its startup (and listening)
-    /// is charged to; `count(r)` counts the wakes of any `r` that had
-    /// each shape (`|r| [r.end - r.start]` for a run of one shape). A
-    /// single wake is the run `k..k + 1`.
-    ///
-    /// Only the wakes due by now are replayed; returns the first index
-    /// of `wakes` that is not. A wake the node was not asleep across is
-    /// skipped, as the dense scheduler skips a busy boundary without
-    /// charging it.
-    ///
-    /// The ledger keeps integer nanoseconds per bucket, so the charges
-    /// need not come in the dense run's pieces or order, only in its
-    /// totals. Every wake before the last is charged whole, by count,
-    /// and sleep is the rest of the span up to the last wake. Only the
-    /// last wake can cross the horizon; its pieces are clamped the way
-    /// the dense end-of-run flush clamps them, and its frame counted iff
-    /// the dense run's event for it (the send at radio-up, the reception
-    /// at its last bit) lands inside the horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a wake of the run can reach the next, judged from the
-    /// run's first gap, which must be its shortest up to the few
-    /// nanoseconds by which rounded clock instants jitter (checked wake
-    /// by wake in debug builds). The dense scheduler would find the node
-    /// still awake at such a wake, and so would the node's next
-    /// simulated wake after the run: a protocol whose wakes can outlast
-    /// their period must not elide them.
-    ///
-    /// A replay is only valid where the caller's schedule knowledge
-    /// proves each wake's outcome — a silent slot, a heartbeat from the
-    /// single in-range owner, a poll or cycle before
-    /// [`quiet_until`](Ctx::quiet_until) — and only if no handler of
-    /// this node touches the radio inside the replayed windows.
-    pub fn replay_idle_wakes<const N: usize>(
-        &mut self,
-        wakes: Range<u64>,
-        at: impl Fn(u64) -> SimTime,
-        shapes: [(IdleWake, Cause); N],
-        count: impl Fn(Range<u64>) -> [u64; N],
-    ) -> u64 {
-        let now = self.run.now;
-        let (start, end) = (wakes.start, wakes.end);
-        let due = first_failing(start, end as f64, |k| k < end && at(k) <= now);
-        let radio = self.run.nodes[self.node.index()].radio;
-        if radio.mode != Mode::Sleep {
-            return due;
-        }
-        let first = first_failing(start, due as f64, |k| k < due && at(k) < radio.since);
-        if first == due {
-            return due;
-        }
-        let shape = |k: u64| {
-            let i = count(k..k + 1).iter().position(|&n| n == 1);
-            shapes[i.expect("every wake has one shape")]
-        };
-        let active = |wake: IdleWake| self.active_nanos(wake);
-        let last = due - 1;
-        let longest = shapes.iter().map(|&(s, _)| active(s)).max().unwrap_or(0);
-        assert!(
-            first == last || at(first + 1).nanos_since(at(first)) >= longest + GAP_SLACK_NS,
-            "node {}: a replayed wake of {longest} ns reaches the next",
-            self.node
-        );
-        debug_assert!(
-            (first..last).all(|k| at(k + 1).nanos_since(at(k)) >= active(shape(k).0)),
-            "node {}: a replayed wake reaches the next",
-            self.node
-        );
-        let before = count(first..last);
-        debug_assert_eq!(
-            before,
-            (first..last).fold([0; N], |mut sum, k| {
-                sum.iter_mut()
-                    .zip(count(k..k + 1))
-                    .for_each(|(s, n)| *s += n);
-                sum
-            }),
-            "shapes miscounted"
-        );
-        debug_assert_eq!(
-            before.iter().sum::<u64>(),
-            last - first,
-            "shapes miscounted"
-        );
-        self.replay_run(at(last), shape(last), &shapes, &before);
-        self.run.stats.wakes_replayed += due - first;
-        due
-    }
-
-    /// How long a wake of `shape` keeps the radio up, startup included.
-    fn active_nanos(&self, shape: IdleWake) -> u64 {
-        let startup = self.shared.startup_ns;
-        match shape {
-            IdleWake::Listen(until) => until.max(startup),
-            IdleWake::Receive(kind) | IdleWake::Transmit(kind) => {
-                startup + self.shared.airtime_ns[kind.index()]
-            }
-        }
-    }
-
-    /// Charges `counts[i]` whole wakes of each of the `shapes`, then the
-    /// last wake, at `last_at`, of shape `last`, clamped at the horizon,
-    /// and the sleep around them all; the node sleeps from the end of
-    /// the last wake.
-    fn replay_run(
-        &mut self,
-        last_at: SimTime,
-        (last, last_cause): (IdleWake, Cause),
-        shapes: &[(IdleWake, Cause)],
-        counts: &[u64],
-    ) {
-        let shared = self.shared;
-        let (end, startup) = (shared.end.as_nanos(), shared.startup_ns);
-        let mut busy = 0;
-        for (&(shape, cause), &n) in shapes.iter().zip(counts) {
-            let active = self.active_nanos(shape);
-            busy += n * active;
-            let st = &mut self.run.nodes[self.node.index()];
-            st.ledger.charge(Mode::Startup, cause, n * startup);
-            charge_piece(st, shape, cause, n * (active - startup), n);
-        }
-        let woke = last_at.as_nanos().min(end);
-        let ready = last_at.as_nanos() + startup;
-        let stop = last_at.as_nanos() + self.active_nanos(last);
-        // The dense run counts a frame at its event: the send at
-        // radio-up, the reception at its last bit (the frame starts the
-        // instant the radio is up, as sender and receiver share the
-        // wake lead).
-        let counted = match last {
-            IdleWake::Listen(_) => false,
-            IdleWake::Receive(_) => stop <= end,
-            IdleWake::Transmit(_) => ready <= end,
-        };
-        let st = &mut self.run.nodes[self.node.index()];
-        let slept = woke - st.radio.since.as_nanos() - busy;
-        st.ledger.charge(Mode::Sleep, Cause::Sleep, slept);
-        st.ledger
-            .charge(Mode::Startup, last_cause, ready.min(end) - woke);
-        let up = stop.min(end) - ready.min(end);
-        charge_piece(st, last, last_cause, up, u64::from(counted));
-        st.radio.since = SimTime::from_nanos(stop.min(end));
-    }
-
     /// Records the final delivery of `packet` at the sink in its
     /// origin's packet record. The first delivery of a packet wins; an
     /// id that no application sample minted is ignored.
@@ -628,25 +471,6 @@ mod tests {
     use edmac_radio::{FrameSizes, Radio};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn first_failing_agrees_with_a_scan_whatever_the_guess() {
-        // A rounded clock, like the poll grids and ladders it serves.
-        let at = |k: u64| SimTime::from_seconds(Seconds::new(0.0123 + 0.1 * k as f64));
-        for from in [0, 3, 40] {
-            for bound_ns in [0, 12_300_000, 112_300_000, 3_512_300_001, 9_999_999_999] {
-                let pred = |k: u64| at(k).as_nanos() < bound_ns;
-                let scan = (from..).find(|&k| !pred(k)).expect("bounded");
-                for guess in [f64::NAN, -5.0, 0.0, 2.4, 34.5, 35.0, 35.2, 99.9, 1e6] {
-                    assert_eq!(
-                        first_failing(from, guess, pred),
-                        scan,
-                        "from {from}, bound {bound_ns} ns, guess {guess}"
-                    );
-                }
-            }
-        }
-    }
 
     /// Builds one scripted node per node index (within its network).
     struct Scripted<F>(F);
@@ -1066,5 +890,36 @@ mod tests {
             assert_eq!((r.delivered, r.hops), (None, 0), "{r:?}");
         }
         assert_eq!(report.delivered_count(), 1);
+    }
+
+    /// Owes its first five clock wakes, one a second from time zero, at
+    /// start, then starts its radio at 0.5 s: across the four not yet
+    /// due.
+    #[derive(Debug)]
+    struct EarlyRiser;
+
+    impl MacNode for EarlyRiser {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            let idle = [(IdleWake::Listen(1_000_000), Cause::CarrierSense)];
+            ctx.set_wake_clock(Seconds::new(1.0), Seconds::ZERO, Seconds::ZERO, idle);
+            ctx.owe_wakes(0..5);
+            ctx.set_timer(Seconds::from_millis(500.0), 1);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u32, _: u64) {
+            ctx.wake(Cause::CarrierSense);
+        }
+        fn on_frame(&mut self, _: &mut Ctx<'_>, _: &Frame) {}
+        fn on_tx_done(&mut self, _: &mut Ctx<'_>) {}
+        fn on_generate(&mut self, _: &mut Ctx<'_>, _: Packet) {}
+        fn on_radio_ready(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.sleep();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node n0: wakes 1..5 are owed past its radio startup at 0.500000s")]
+    fn the_radio_may_not_start_up_across_an_owed_wake() {
+        let risers = Scripted(|_| Box::new(EarlyRiser) as Box<dyn MacNode>);
+        drop(ring_run(&risers, WakeMode::Coarse, 1));
     }
 }

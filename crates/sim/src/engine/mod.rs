@@ -23,11 +23,12 @@
 //! of 316 596 coordination rounds on the smoke grid (and 0 of 161 034
 //! on coexistence) ever advanced two shards at once.
 
+mod clock;
 mod ctx;
 mod run;
 
-pub(crate) use self::ctx::first_failing;
-pub use self::ctx::{Ctx, IdleWake};
+pub use self::clock::{IdleWake, WakeClock};
+pub use self::ctx::Ctx;
 pub use crate::protocols::MacNode;
 
 use self::run::{NodeState, Shared};
@@ -51,15 +52,17 @@ use rand::SeedableRng;
 pub enum WakeMode {
     /// Event-coarse scheduling: nodes wake only for slots where they
     /// transmit, may receive from a schedule-known neighbor, or must
-    /// sample the channel; elided idle ticks are replayed into the
-    /// energy ledger arithmetically, a whole run of them in one step
-    /// ([`Ctx::replay_idle_wakes`]).
+    /// sample the channel. Each node owes the idle wakes it elides on
+    /// its wake clock ([`Ctx::owe_wakes`]), and the engine charges the
+    /// due part of that owed run to the energy ledger arithmetically, a
+    /// whole run in one step, whenever the radio starts up or goes to
+    /// sleep and at the horizon.
     ///
     /// A single-network run also gets the quiet fast path: while no
     /// node at the caller's depth minus one or deeper holds a packet or
     /// has one on the air, nothing can reach the caller's radio before
     /// the next application sample at those depths, so X-MAC polls and
-    /// DMAC cycles whose whole window closes before it are replayed
+    /// DMAC cycles whose whole window closes before it are owed
     /// instead of simulated ([`Ctx::quiet_until`]); LMAC does the same
     /// for a slot whose owner is packet-free past its control
     /// ([`Ctx::packet_free_until`]), and for the slot's heartbeats in
@@ -159,8 +162,8 @@ impl BurstWindows {
 pub struct RunStats {
     /// Wakes the engine fired: calls of [`MacNode::on_wake`].
     pub wakes_fired: u64,
-    /// Wakes charged by [`Ctx::replay_idle_wakes`] instead of being
-    /// simulated. A wake replayed at its own firing counts here too.
+    /// Owed wakes ([`Ctx::owe_wakes`]) the engine charged instead of
+    /// simulating them. A wake owed at its own firing counts here too.
     pub wakes_replayed: u64,
 }
 

@@ -12,6 +12,7 @@
 //! node's draws depend only on its own events, and simultaneous events
 //! run in key order, never insertion order.
 
+use super::clock::{IdleWake, Shape, WakeClock};
 use super::ctx::Ctx;
 use super::{node_stream, RunStats, SimConfig, TrafficProfile, WakeMode};
 use crate::events::{AirSlab, Event};
@@ -92,6 +93,8 @@ pub(super) struct NodeState {
     pub(super) holds: bool,
     /// Whether the frame this node has on the air carries a packet.
     pub(super) tx_carries_packet: bool,
+    /// The wake clock registered at start, with the wakes the node owes.
+    pub(super) clock: Option<WakeClock>,
     /// Records of packets *originating* here, in creation order: the
     /// packet with id `(node << 32) | k` is `records[k]`, because
     /// `Generate` mints the id and pushes the record together.
@@ -124,6 +127,7 @@ impl NodeState {
             cancelled_timers: Vec::new(),
             holds: true,
             tx_carries_packet: false,
+            clock: None,
             records: Vec::new(),
         }
     }
@@ -145,7 +149,105 @@ impl NodeState {
         self.radio.since = now;
         self.radio.cause = cause;
     }
+
+    /// Charges, in one step, the wakes `node` owes that are due by `now`
+    /// ([`Ctx::owe_wakes`]) and returns how many: each a radio startup,
+    /// what its idle shape did once the radio was up, then sleep.
+    ///
+    /// The ledger keeps integer nanoseconds per bucket, so the charges
+    /// need not come in the dense run's pieces or order, only in its
+    /// totals. Every wake before the last is charged whole, by count per
+    /// shape, and sleep is the rest of the span up to the last wake.
+    /// Only the last wake can cross the horizon; its pieces are clamped
+    /// the way the dense end-of-run flush clamps them, and its frame
+    /// counted iff the dense run's event for it (the send at radio-up,
+    /// the reception at its last bit) lands inside the horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the radio was up at a due owed wake, or if a wake of
+    /// the run can reach the next, judged from the run's first gap,
+    /// which must be its shortest up to the few nanoseconds by which
+    /// rounded clock instants jitter (checked wake by wake in debug
+    /// builds). The dense scheduler would find the node still awake at
+    /// such a wake: a protocol must not elide a wake it is awake across.
+    pub(super) fn charge_owed(&mut self, shared: &Shared, node: NodeId, now: SimTime) -> u64 {
+        let Some(clock) = &mut self.clock else {
+            return 0;
+        };
+        let (radio, ledger, counters) = (&mut self.radio, &mut self.ledger, &mut self.counters);
+        let (first, due) = (clock.owed.start, clock.due_end(now));
+        if first == due {
+            return 0;
+        }
+        assert!(
+            radio.mode == Mode::Sleep && clock.at(first) >= radio.since,
+            "node {node}: owed wake {first} fell while the radio was up"
+        );
+        let last = due - 1;
+        let longest = clock.shapes.iter().map(|s| s.active_ns).max().unwrap_or(0);
+        let gap = |k: u64| clock.at(k + 1).nanos_since(clock.at(k));
+        assert!(
+            first == last || gap(first) >= longest + GAP_SLACK_NS,
+            "node {node}: an owed wake of {longest} ns reaches the next"
+        );
+        debug_assert!(
+            (first..last).all(|k| gap(k) >= clock.shapes[clock.shape_of(k)].active_ns),
+            "node {node}: an owed wake reaches the next"
+        );
+        // Charges `startup` and then `up` nanoseconds of idle wakes of
+        // `shape`, and counts `frames` of its frame.
+        let mut charge = |shape: &Shape, startup: u64, up: u64, frames: u64| {
+            ledger.charge(Mode::Startup, shape.cause, startup);
+            let (mode, cause) = match shape.wake {
+                IdleWake::Listen(_) => (Mode::Listen, shape.cause),
+                IdleWake::Receive(kind) => {
+                    counters.record_rx(kind, frames);
+                    (Mode::Rx, kind.rx_cause(false))
+                }
+                IdleWake::Transmit(kind) => {
+                    counters.record_tx(kind, frames);
+                    (Mode::Tx, kind.tx_cause())
+                }
+            };
+            ledger.charge(mode, cause, up);
+        };
+        let (end, startup) = (shared.end.as_nanos(), shared.startup_ns);
+        let mut busy = 0;
+        for (s, shape) in clock.shapes.iter().enumerate() {
+            let n = clock.count(s, first..last);
+            busy += n * shape.active_ns;
+            charge(shape, n * startup, n * (shape.active_ns - startup), n);
+        }
+        let (at, shape) = (
+            clock.at(last).as_nanos(),
+            &clock.shapes[clock.shape_of(last)],
+        );
+        let (woke, ready, stop) = (at.min(end), at + startup, at + shape.active_ns);
+        // The dense run counts a frame at its event: the send at
+        // radio-up, the reception at its last bit (the frame starts the
+        // instant the radio is up, as sender and receiver share the
+        // wake lead).
+        let counted = match shape.wake {
+            IdleWake::Listen(_) => false,
+            IdleWake::Receive(_) => stop <= end,
+            IdleWake::Transmit(_) => ready <= end,
+        };
+        let up = stop.min(end) - ready.min(end);
+        charge(shape, ready.min(end) - woke, up, u64::from(counted));
+        let slept = woke - radio.since.as_nanos() - busy;
+        ledger.charge(Mode::Sleep, Cause::Sleep, slept);
+        clock.owed.start = due;
+        radio.since = SimTime::from_nanos(stop.min(end));
+        due - first
+    }
 }
+
+/// Nanoseconds of slack in [`NodeState::charge_owed`]'s check that a
+/// run's wakes cannot reach one another: clock wakes are instants
+/// `offset + k·period` rounded to whole nanoseconds, so two of their
+/// gaps differ by a nanosecond or two at most.
+const GAP_SLACK_NS: u64 = 4;
 
 /// The read-only world of a run: topology, routing, radio hardware and
 /// configuration.
@@ -817,8 +919,8 @@ impl Engine<'_> {
         }
     }
 
-    /// Horizon phase: let schedule-coarsening nodes replay idle wakes that
-    /// were still pending, then flush residual mode time.
+    /// Horizon phase: charge the owed wakes due by the horizon, then
+    /// flush residual mode time.
     ///
     /// # Panics
     ///
@@ -828,10 +930,8 @@ impl Engine<'_> {
     fn finish(&mut self) {
         let end = self.shared.end;
         self.run.now = end;
-        for i in 0..self.machines.len() {
-            self.with_node(NodeId::new(i), 1, |n, ctx| n.on_horizon(ctx));
-        }
         for (u, st) in self.run.nodes.iter_mut().enumerate() {
+            self.run.stats.wakes_replayed += st.charge_owed(self.shared, NodeId::new(u), end);
             st.charge_current(end);
             st.radio.since = end;
             let charged = st.ledger.charged_nanos();

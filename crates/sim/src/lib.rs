@@ -72,7 +72,7 @@ mod time;
 
 pub use engine::{
     BurstWindows, CoexNetwork, Ctx, IdleWake, MacNode, RunStats, SimConfig, Simulation,
-    TrafficProfile, WakeMode,
+    TrafficProfile, WakeClock, WakeMode,
 };
 pub use frame::{Frame, FrameCounters, FrameKind, Packet, PacketId};
 pub use protocol::{DmacSim, LmacSim, ScpSim, SimProtocol, XmacSim};

@@ -29,12 +29,13 @@
 //! until two slots after its wake, and a leaf lingers one slot. A
 //! sleeping node with nothing queued and no timer pending jumps over
 //! every cycle that ends before that instant (found in closed form from
-//! the ladder, then checked against it) and replays them lazily, in one
-//! step at its next wake or sample or at the horizon. Where an idle
-//! cycle outlasts the cycle period, no cycle is replayed.
+//! its wake clock, then checked against it) and owes them
+//! ([`Ctx::owe_wakes`]): the engine charges them, in one step, when the
+//! radio next starts up or at the horizon. Where an idle cycle outlasts
+//! the cycle period, no cycle is owed.
 
 use super::wakes_clear;
-use crate::engine::{first_failing, Ctx, IdleWake, MacNode};
+use crate::engine::{Ctx, IdleWake, MacNode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -84,25 +85,11 @@ pub(crate) struct DmacNode {
     /// re-colliding sweep after sweep.
     skip_cycles: u32,
     ack_timer: u64,
-    /// Index of the cycle whose slots have been scheduled.
+    /// Index of the next cycle on the node's wake clock.
     next_cycle: u64,
-    /// First cycle not yet woken for or replayed: cycles
-    /// `replay_from..next_cycle` are quiet cycles still owed to the
-    /// ledger.
-    replay_from: u64,
-    /// The slot this node wakes for, as an offset into each cycle in
-    /// seconds: its receive slot if it has children, else its transmit
-    /// slot (`None` for a node with neither, unreachable in a connected
-    /// tree). Fixed at start.
-    wake_slot: Option<f64>,
-    /// The radio startup, in seconds, that each wake leads its slot by.
-    startup: f64,
-    /// How long an idle cycle keeps the radio up, in nanoseconds after
-    /// its wake ([`DmacNode::idle_listen`]). Fixed at start.
-    idle_until: u64,
     /// Whether an idle cycle ends before the next cycle's wake, even
     /// the first (whose wake a startup lead may clamp to time zero), so
-    /// that quiet cycles may be replayed. Fixed at start.
+    /// that quiet cycles may be owed. Fixed at start.
     cycles_clear: bool,
 }
 
@@ -125,10 +112,6 @@ impl DmacNode {
             skip_cycles: 0,
             ack_timer: u64::MAX,
             next_cycle: 0,
-            replay_from: 0,
-            wake_slot: None,
-            startup: 0.0,
-            idle_until: 0,
             cycles_clear: false,
         }
     }
@@ -159,34 +142,13 @@ impl DmacNode {
 
     /// Whether nothing of this node's own can wake its radio: asleep,
     /// nothing queued, no timer pending. Its cycles up to
-    /// [`Ctx::quiet_until`] are then idle, and are replayed if each ends
+    /// [`Ctx::quiet_until`] are then idle, and are owed if each ends
     /// before the next cycle's wake.
     fn idle(&self, ctx: &Ctx<'_>) -> bool {
         self.cycles_clear
             && self.phase == Phase::Sleeping
             && !self.has_pending()
             && ctx.pending_timers() == 0
-    }
-
-    /// Whether an idle cycle woken at `wake` closes strictly before
-    /// `quiet`.
-    fn closes_before(&self, wake: SimTime, quiet: SimTime) -> bool {
-        wake.as_nanos() + self.idle_until < quiet.as_nanos()
-    }
-
-    /// Charges, in one step, the quiet cycles before cycle `to` whose
-    /// wake is due by now.
-    fn replay_cycles(&mut self, ctx: &mut Ctx<'_>, to: u64) {
-        if self.wake_slot.is_none() {
-            return;
-        }
-        let cycles = self.replay_from..to;
-        self.replay_from = ctx.replay_idle_wakes(
-            cycles,
-            |k| self.lead(k).expect("a node with a wake slot"),
-            [(IdleWake::Listen(self.idle_until), Cause::CarrierSense)],
-            |r| [r.end - r.start],
-        );
     }
 
     /// Records a failed attempt: randomize the next one, drop the
@@ -220,29 +182,21 @@ impl DmacNode {
         // Children transmit one slot before this node does.
         Some(self.slot * (lag as f64 - 1.0))
     }
-
-    /// The wake instant for cycle `k`: the receive slot for nodes with
-    /// children, else the transmit slot, one radio startup early so
-    /// listening starts on the slot boundary. `None` for a node with
-    /// neither (unreachable in a connected tree).
-    fn lead(&self, k: u64) -> Option<SimTime> {
-        let at = self.cycle.value() * k as f64 + self.wake_slot? - self.startup;
-        Some(SimTime::from_seconds(Seconds::new(at.max(0.0))))
-    }
 }
 
 impl MacNode for DmacNode {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.next_cycle = 0;
-        self.replay_from = 0;
-        self.wake_slot = self
-            .rx_offset(ctx)
-            .or_else(|| self.tx_offset(ctx))
-            .map(Seconds::value);
-        self.startup = ctx.startup_delay().value();
-        self.idle_until = self.idle_listen(ctx);
-        let active = Seconds::new(self.idle_until as f64 / 1e9) + ctx.startup_delay();
+        // Wake for the receive slot if the node has children, else for
+        // the transmit slot, one radio startup early so listening starts
+        // on the slot boundary.
+        let slot = self.rx_offset(ctx).or_else(|| self.tx_offset(ctx));
+        let slot = slot.expect("a node of a connected tree has a child or a parent");
+        let idle = self.idle_listen(ctx);
+        let active = Seconds::new(idle as f64 / 1e9) + ctx.startup_delay();
         self.cycles_clear = wakes_clear(active, self.cycle);
+        let pattern = [(IdleWake::Listen(idle), Cause::CarrierSense)];
+        ctx.set_wake_clock(self.cycle, slot, ctx.startup_delay(), pattern);
+        self.next_cycle = 0;
     }
 
     fn holds_packets(&self) -> bool {
@@ -250,32 +204,23 @@ impl MacNode for DmacNode {
     }
 
     fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        let offset = self.wake_slot? - self.startup;
-        let skip = self
-            .lead(self.next_cycle)
-            .is_some_and(|wake| wake > ctx.now());
-        if skip && self.idle(ctx) {
-            let quiet = ctx.quiet_until();
-            let listen = self.idle_until as f64 / 1e9;
-            let guess = (quiet.as_seconds().value() - listen - offset) / self.cycle.value();
-            self.next_cycle = first_failing(self.next_cycle, guess, |k| {
-                self.lead(k)
-                    .is_some_and(|wake| self.closes_before(wake, quiet))
-            });
+        let clock = ctx.wake_clock();
+        if clock.at(self.next_cycle) > ctx.now() && self.idle(ctx) {
+            let to = clock.first_reaching(self.next_cycle, ctx.quiet_until());
+            ctx.owe_wakes(self.next_cycle..to);
+            self.next_cycle = to;
         }
-        self.lead(self.next_cycle)
+        Some(ctx.wake_clock().at(self.next_cycle))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
         let k = self.next_cycle;
         self.next_cycle += 1;
-        // A quiet cycle is replayed with the quiet cycles skipped before
-        // it: it is the first cycle of a quiet stretch, asked for while
-        // the network around the node was not yet quiet.
-        let quiet = self.idle(ctx) && self.closes_before(ctx.now(), ctx.quiet_until());
-        self.replay_cycles(ctx, if quiet { k + 1 } else { k });
-        self.replay_from = self.next_cycle;
-        if quiet {
+        // A quiet cycle joins the quiet cycles skipped before it: it is
+        // the first cycle of a quiet stretch, asked for while the
+        // network around the node was not yet quiet.
+        if self.idle(ctx) && ctx.wake_clock().closes_before(k, ctx.quiet_until()) {
+            ctx.owe_wakes(k..k + 1);
             return;
         }
         if self.rx_offset(ctx).is_some() {
@@ -409,12 +354,7 @@ impl MacNode for DmacNode {
         }
     }
 
-    fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
-        self.replay_cycles(ctx, self.next_cycle);
-    }
-
-    fn on_generate(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        self.replay_cycles(ctx, self.next_cycle);
+    fn on_generate(&mut self, _ctx: &mut Ctx<'_>, packet: Packet) {
         // Data waits for the next ladder sweep.
         self.queue.push_back(packet);
     }

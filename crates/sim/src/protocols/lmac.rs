@@ -24,18 +24,20 @@
 //!   in-range owner exists (distance-2 reuse), it transmits its control
 //!   (it is asleep at its slot's wake, see below), and the addressee
 //!   can only be its parent — so the whole wake (startup, one control
-//!   reception, sleep) is deterministic and replays through
-//!   [`Ctx::replay_idle_wakes`] as a received control;
+//!   reception, sleep) is deterministic: a received control;
 //! * **silent slots** — no in-range owner: a startup, 300 µs of
-//!   provable silence and sleep, replayed as a silent listen.
+//!   provable silence and sleep, a silent listen.
 //!
-//! Under [`WakeMode::Coarse`] the node schedules wakes only for the
-//! first class and replays the rest; under [`WakeMode::Dense`] it
-//! wakes at every boundary like the original engine. Both produce
-//! bit-identical reports (the `wake_equivalence` golden tests). The
-//! heard and silent slots between two wakes are replayed as one run, in
-//! one step: a per-index prefix count of the heard slots gives how many
-//! of the run's slots were heard without visiting them.
+//! That classification is the idle pattern of the node's wake clock
+//! ([`Ctx::set_wake_clock`]): own slots send a control, heard and child
+//! slots receive one, and the rest listen to silence. Under
+//! [`WakeMode::Coarse`] the node schedules wakes only for the first
+//! class and owes the rest ([`Ctx::owe_wakes`]); under
+//! [`WakeMode::Dense`] it wakes at every boundary like the original
+//! engine. Both produce bit-identical reports (the `wake_equivalence`
+//! golden tests). The engine charges the owed slots between two wakes
+//! as one run, in one step, counting each shape of the run from the
+//! pattern without visiting the slots.
 //!
 //! Slots are elided only where a slot outlasts two radio startups, a
 //! control, a data frame and a millisecond. Every slot's activity, even
@@ -50,17 +52,18 @@
 //! The first class is data-dependent only while the slot's owner has
 //! data. When the owner holds no packet and samples none before its
 //! control ends ([`Ctx::packet_free_until`]), the owner's control is a
-//! bare heartbeat and its parent hears exactly that: the owner replays
-//! its wake as a transmitted control and the parent as a received one.
+//! bare heartbeat and its parent hears exactly that: both owe the wake,
+//! the owner's pattern charging it as a transmitted control and the
+//! parent's as a received one.
 //!
 //! A heartbeat stays bare for as long as the owner's whole routing
 //! subtree stays packet-free: packets enter a subtree only at samples
 //! inside it and climb only to parents, so the owner cannot hold one
-//! before the subtree's next sample ([`Ctx::subtree_free_until`]). A
-//! replayed wake therefore also skips the slot's index ahead to the
+//! before the subtree's next sample ([`Ctx::subtree_free_until`]). An
+//! owed heartbeat therefore also skips the slot's index ahead to the
 //! first frame whose control does not end strictly before that bound;
-//! the heartbeats in between join the elided runs, and are replayed in
-//! the same one step as the heard and silent slots around them. Owner
+//! the heartbeats in between join the owed run, and are charged in the
+//! same one step as the heard and silent slots around them. Owner
 //! and parent decide at the slot's wake, from the same predicate about
 //! the same pair at the same instant, so they never disagree (a
 //! condition only one side can see, such as the owner's pending timers,
@@ -68,10 +71,10 @@
 //! skip, once decided, is stable: the subtree stays empty until its
 //! next sample, a fixed instant every evaluator reads the same. A slot
 //! not skipped is decided again at its own wake. Slot 0, the one slot
-//! every node wakes for, replays as heard or silent for every node it
-//! is neither the own nor a child slot of.
+//! every node wakes for, is owed as heard or silent by every node it is
+//! neither the own nor a child slot of.
 
-use crate::engine::{first_failing, Ctx, IdleWake, MacNode, WakeMode};
+use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_net::NodeId;
@@ -117,7 +120,7 @@ struct Relevant {
     child: Option<NodeId>,
     /// The next global slot of this index to wake for (coarse mode).
     /// The slots of this index between the last wake and this one are
-    /// bare heartbeats, replayed with the elided slots around them.
+    /// bare heartbeats, owed with the elided slots around them.
     next: u64,
 }
 
@@ -129,15 +132,11 @@ pub(crate) struct LmacNode {
     my_slot: usize,
     /// The own and child slot indices, ascending: simulated wakes.
     relevant: Vec<Relevant>,
-    /// `heard_before[i]`: how many of slot indices `0..i` an elided run
-    /// replays as a received control (`frame_slots + 1` entries): the
-    /// *heard* slots, owned by non-child in-range neighbors, and the
-    /// child slots, whose runs hold only skipped bare heartbeats. The
-    /// received controls of any run of global slots are thus counted
-    /// without visiting them.
-    heard_before: Vec<u32>,
-    /// The radio startup, in seconds, that each wake leads its slot by.
-    startup: f64,
+    /// Per slot index, whether an elided slot there is a received
+    /// control: a *heard* slot, owned by a non-child in-range neighbor,
+    /// or a child slot, elided only as a bare heartbeat. Handed to the
+    /// wake clock at start.
+    received: Vec<bool>,
     coarse: bool,
     phase: Phase,
     queue: VecDeque<Packet>,
@@ -145,8 +144,6 @@ pub(crate) struct LmacNode {
     next_slot: u64,
     /// Global index of the boundary currently being handled.
     current_slot: u64,
-    /// First global slot index not yet simulated or replayed.
-    replay_from: u64,
     control_timer: u64,
     data_timer: u64,
 }
@@ -174,26 +171,19 @@ impl LmacNode {
         let received = heard_slots
             .iter()
             .zip(&child_owners)
-            .map(|(&heard, child)| heard || child.is_some());
-        let heard_before = std::iter::once(0)
-            .chain(received.scan(0, |n, received| {
-                *n += u32::from(received);
-                Some(*n)
-            }))
+            .map(|(&heard, child)| heard || child.is_some())
             .collect();
         LmacNode {
             slot,
             frame_slots,
             my_slot,
             relevant,
-            heard_before,
-            startup: 0.0,
+            received,
             coarse: scheduling == WakeMode::Coarse,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             next_slot: 0,
             current_slot: 0,
-            replay_from: 0,
             control_timer: u64::MAX,
             data_timer: u64::MAX,
         }
@@ -209,44 +199,6 @@ impl LmacNode {
         self.index(k) == self.my_slot
     }
 
-    /// How many of global slots `0..k` an elided run replays as a
-    /// received control.
-    fn heard_upto(&self, k: u64) -> u64 {
-        let per_frame = u64::from(self.heard_before[self.frame_slots]);
-        (k / self.frame_slots as u64) * per_frame + u64::from(self.heard_before[self.index(k)])
-    }
-
-    /// How many of global slots `0..k` are this node's own.
-    fn own_upto(&self, k: u64) -> u64 {
-        k / self.frame_slots as u64 + u64::from(self.index(k) > self.my_slot)
-    }
-
-    /// Replays, in one step, the elided slots from `replay_from` up to
-    /// `to` whose wake instant is due by now (the dense scheduler woke
-    /// for exactly those). An own slot among them is a bare heartbeat
-    /// sent; a child slot is a bare heartbeat heard, and so is a slot
-    /// an in-range non-child owns; any other is provable silence: a
-    /// startup, the control timeout of silence, and sleep.
-    fn replay_elided(&mut self, ctx: &mut Ctx<'_>, to: u64) {
-        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
-        let silent = IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(control_timeout()));
-        let shapes = [
-            (silent, Cause::SyncRx),
-            (IdleWake::Receive(FrameKind::Control), Cause::SyncRx),
-            (IdleWake::Transmit(FrameKind::Control), Cause::SyncTx),
-        ];
-        self.replay_from = ctx.replay_idle_wakes(
-            self.replay_from..to,
-            |k| self.lead(k),
-            shapes,
-            |r| {
-                let heard = self.heard_upto(r.end) - self.heard_upto(r.start);
-                let own = self.own_upto(r.end) - self.own_upto(r.start);
-                [r.end - r.start - heard - own, heard, own]
-            },
-        );
-    }
-
     /// The owner of relevant slot `e` and its parent, the only nodes
     /// that simulate the slot: `(me, my parent)` in the own slot,
     /// `(child, me)` in a child's.
@@ -257,42 +209,20 @@ impl LmacNode {
         }
     }
 
-    /// The end of the control section of global slot `k`.
-    fn control_end(&self, ctx: &Ctx<'_>, k: u64) -> SimTime {
-        self.lead(k)
-            .after(ctx.startup_delay())
-            .after(ctx.airtime(FrameKind::Control))
-    }
-
     /// Whether slot `k` is provably a bare heartbeat from `owner` that
     /// `parent` hears cleanly: the owner packet-free until past its
     /// control's end. Owner and parent evaluate this same predicate at
     /// the same instant, so they always agree on whether the slot is
-    /// replayed.
+    /// owed.
     fn bare_heartbeat(&self, ctx: &Ctx<'_>, k: u64, owner: NodeId, parent: Option<NodeId>) -> bool {
-        let bare = self.control_end(ctx, k) < ctx.packet_free_until(owner);
+        let bare = ctx
+            .wake_clock()
+            .closes_before(k, ctx.packet_free_until(owner));
         debug_assert!(
             !bare || (ctx.is_asleep(owner) && parent.is_none_or(|p| ctx.is_asleep(p))),
             "slot {k}: a heartbeat pair is awake at the slot's wake"
         );
         bare
-    }
-
-    /// The first slot after `k` of `k`'s index whose control does not
-    /// end strictly before `bound`.
-    fn first_unbounded(&self, ctx: &Ctx<'_>, k: u64, bound: SimTime) -> u64 {
-        let n = self.frame_slots as u64;
-        let control = ctx.airtime(FrameKind::Control).value();
-        let guess =
-            ((bound.as_seconds().value() - control) / self.slot.value() - k as f64) / n as f64;
-        let frames = first_failing(1, guess, |m| self.control_end(ctx, k + m * n) < bound);
-        k + frames * n
-    }
-
-    /// The wake instant for global slot `k` (one startup early).
-    fn lead(&self, k: u64) -> SimTime {
-        let at = self.slot.value() * k as f64 - self.startup;
-        SimTime::from_seconds(Seconds::new(at.max(0.0)))
     }
 }
 
@@ -307,14 +237,25 @@ impl MacNode for LmacNode {
             + ctx.airtime(FrameKind::Data)
             + Seconds::from_millis(1.0)
             < self.slot;
-        self.startup = ctx.startup_delay().value();
+        // Wake `k` leads slot `k` by a startup. An elided own slot is a
+        // bare heartbeat sent, a received slot one heard, and any other
+        // provable silence: a startup, the control timeout, and sleep.
+        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
+        let silent = IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(control_timeout()));
+        let received = std::mem::take(&mut self.received);
+        let pattern = received.iter().enumerate().map(|(i, &received)| match i {
+            _ if i == self.my_slot => (IdleWake::Transmit(FrameKind::Control), Cause::SyncTx),
+            _ if received => (IdleWake::Receive(FrameKind::Control), Cause::SyncRx),
+            _ => (silent, Cause::SyncRx),
+        });
+        ctx.set_wake_clock(self.slot, Seconds::ZERO, ctx.startup_delay(), pattern);
         // Every node attends slot 0 (silent or not, the dense schedule
         // starts there); `next_activity` takes it from here.
         self.next_slot = 0;
     }
 
-    fn next_activity(&mut self, _ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        Some(self.lead(self.next_slot))
+    fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
+        Some(ctx.wake_clock().at(self.next_slot))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
@@ -328,21 +269,20 @@ impl MacNode for LmacNode {
             && pair.is_some_and(|(owner, parent)| self.bare_heartbeat(ctx, k, owner, parent));
         // Slot 0, which every node attends, is heard or silent like any
         // elided slot for a node neither owning it nor parent to its
-        // owner, so that an owner replaying its heartbeat there leaves
-        // no listener waiting: it joins the run of elided slots the
-        // coarse schedule jumped over (empty in dense mode), as does a
-        // bare heartbeat.
+        // owner, so that an owner eliding its heartbeat there leaves no
+        // listener waiting: it joins the owed run of elided slots, as
+        // does a bare heartbeat.
         let elided = self.coarse && asleep && (pair.is_none() || bare);
-        self.replay_elided(ctx, if elided { k + 1 } else { k });
-        self.replay_from = k + 1;
+        let frame = self.frame_slots as u64;
         if let Some((e, (owner, _))) = entry.zip(pair) {
             // A bare heartbeat stays bare until the owner's subtree can
             // next hold a packet; any other slot is decided anew at the
             // next frame's wake.
             self.relevant[e].next = if bare {
-                self.first_unbounded(ctx, k, ctx.subtree_free_until(owner))
+                let bound = ctx.subtree_free_until(owner);
+                ctx.wake_clock().first_reaching(k + frame, bound)
             } else {
-                k + self.frame_slots as u64
+                k + frame
             };
         }
         self.next_slot = if self.coarse {
@@ -354,27 +294,23 @@ impl MacNode for LmacNode {
         } else {
             k + 1
         };
-        if elided || !asleep {
-            // Replayed, or still busy from the previous slot (e.g. long
-            // data reception): skip this boundary.
-            return;
+        // A node still busy from the previous slot (e.g. long data
+        // reception, dense mode only) skips this boundary.
+        if asleep && !elided {
+            self.phase = Phase::WakingForSlot;
+            ctx.wake(if self.owns(k) {
+                Cause::SyncTx
+            } else {
+                Cause::SyncRx
+            });
         }
-        self.phase = Phase::WakingForSlot;
-        let cause = if self.owns(k) {
-            Cause::SyncTx
-        } else {
-            Cause::SyncRx
-        };
-        ctx.wake(cause);
+        // The slots up to the next wake are elided, and so is this one
+        // if owed; the radio is asleep before the first of them is due.
+        ctx.owe_wakes(if elided { k } else { k + 1 }..self.next_slot);
     }
 
     fn holds_packets(&self) -> bool {
         !self.queue.is_empty()
-    }
-
-    fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
-        // Heard/silent slots still pending when the run ended.
-        self.replay_elided(ctx, self.next_slot);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u32, id: u64) {

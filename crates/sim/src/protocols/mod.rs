@@ -15,7 +15,7 @@ pub(crate) mod xmac;
 /// wake `gap` later, with a microsecond to spare against nanosecond
 /// rounding. Where it does not, the dense scheduler finds the node
 /// still awake at the next wake, and a protocol must not elide it
-/// ([`Ctx::replay_idle_wakes`]).
+/// ([`Ctx::owe_wakes`]).
 pub(crate) fn wakes_clear(active: Seconds, gap: Seconds) -> bool {
     active + Seconds::from_micros(1.0) < gap
 }
@@ -37,17 +37,23 @@ pub(crate) fn wakes_clear(active: Seconds, gap: Seconds) -> bool {
 ///
 /// [`MacNode::next_activity`] inverts the control flow: after every
 /// callback the engine asks the node for the next instant it must be
-/// driven, and schedules exactly one wake-up per node at a time.
-/// Schedule-driven protocols answer with their next *relevant* tick —
-/// a slot where they transmit, may receive from a schedule-known
-/// neighbor, or must sample the channel — and account for the elided
-/// idle ticks through [`Ctx::replay_idle_wakes`], which charges a run
-/// of them in one step to the same ledger totals the dense scheduler
-/// reaches. The engine delivers each
-/// due wake through [`MacNode::on_wake`]; ties with queued events
-/// resolve in favor of wakes (mirroring the dense scheduler, whose
-/// boundary timers always carried the earliest sequence numbers), and
-/// simultaneous wakes fire in node order.
+/// driven, and schedules exactly one wake-up per node at a time. The
+/// engine delivers each due wake through [`MacNode::on_wake`]; ties
+/// with queued events resolve in favor of wakes (mirroring the dense
+/// scheduler, whose boundary timers always carried the earliest
+/// sequence numbers), and simultaneous wakes fire in node order.
+///
+/// Each clocked protocol registers, once at [`MacNode::start`], its
+/// wake clock ([`Ctx::set_wake_clock`]): wake `k` is due at
+/// `max(0, period·k + offset − lead)`, and a static pattern gives what
+/// wake `k` does when idle. Schedule-driven protocols answer
+/// `next_activity` with their next *relevant* wake — one where they
+/// transmit, may receive from a schedule-known neighbor, or must
+/// sample the channel — and add the idle wakes they jump over to their
+/// *owed run* ([`Ctx::owe_wakes`]). The engine charges the due part of
+/// that run, in one step, to the same ledger totals the dense
+/// scheduler reaches: inside [`Ctx::wake`] and [`Ctx::sleep`], before
+/// the radio's mode changes, and at the horizon.
 ///
 /// Returning `None` suspends the clock: the engine will re-query after
 /// the next callback (X-MAC uses this to elide poll ticks that land
@@ -60,33 +66,34 @@ pub(crate) fn wakes_clear(active: Seconds, gap: Seconds) -> bool {
 /// [`MacNode::holds_packets`] truthfully lets the engine know which hop
 /// depths hold packets, and [`Ctx::quiet_until`] then bounds how long
 /// the depths a node can hear stay packet-free: until the next sample
-/// at the caller's depth minus one or deeper
-/// ([`Ctx::packet_free_until`] is the same bound for one node). A
-/// protocol whose every frame either carries or answers a packet
-/// (X-MAC, DMAC) may replay, instead of simulate, any wake whose whole
-/// window closes strictly before that bound — skipping whole stretches
-/// of them in `next_activity` and charging them lazily, as one run,
-/// before its next radio action or at [`MacNode::on_horizon`]; LMAC
-/// replays a slot whose owner's heartbeat is provably bare, and skips
-/// the slot's later heartbeats while the owner's routing subtree stays
-/// packet-free ([`Ctx::subtree_free_until`]). Three rules keep this
-/// bit-identical to the dense schedule:
+/// at the caller's depth minus one or deeper. A protocol whose every
+/// frame either carries or answers a packet (X-MAC, DMAC) may owe,
+/// instead of simulate, any wake that
+/// [closes before](crate::WakeClock::closes_before) that bound, and
+/// skip a whole stretch of them at once in `next_activity`
+/// ([`WakeClock::first_reaching`](crate::WakeClock::first_reaching)).
+/// LMAC owes a slot whose owner's heartbeat is provably bare
+/// ([`Ctx::packet_free_until`]), and the slot's later heartbeats while
+/// the owner's routing subtree stays packet-free
+/// ([`Ctx::subtree_free_until`]). Three rules keep this bit-identical
+/// to the dense schedule:
 ///
-/// * no handler of the node may touch the radio inside a replayed
-///   window (X-MAC and DMAC skip only with no timer pending, see
+/// * the radio stays asleep across every owed wake: the engine panics
+///   if the radio starts up while an owed wake is not yet due, or was
+///   up when one fell due, and no handler may touch the radio inside an
+///   owed window (X-MAC and DMAC skip only with no timer pending, see
 ///   [`Ctx::pending_timers`]);
-/// * no replayed wake may reach the node's next wake, replayed or
-///   simulated: a protocol whose wakes can outlast their period elides
-///   none;
-/// * a replayed exchange must be replayed by every party to it, from
-///   the same global predicate evaluated at the same instant (an LMAC
-///   slot owner and its parent both decide at the slot's wake). A
-///   decision made early, for wakes still to come, must be stable: an
-///   early skip holds only from a bound that no event before those
-///   wakes can move (a subtree's next sample, while it is packet-free),
-///   so every party reads the same bound whenever it decides, and a
-///   no-skip decision is made again, by every party, at the skipped
-///   wake itself.
+/// * no owed wake may reach the node's next wake, owed or simulated: a
+///   protocol whose wakes can outlast their period owes none (the
+///   engine checks the gaps of every run it charges);
+/// * an elided exchange must be elided by every party to it, from the
+///   same global predicate evaluated at the same instant (an LMAC slot
+///   owner and its parent both decide at the slot's wake). A decision
+///   made early, for wakes still to come, must be stable: an early skip
+///   holds only from a bound that no event before those wakes can move
+///   (a subtree's next sample, while it is packet-free), so every party
+///   reads the same bound whenever it decides, and a no-skip decision
+///   is made again, by every party, at the skipped wake itself.
 ///
 /// Implementations must be `Send`, so a built
 /// [`Simulation`](crate::Simulation) can be handed to another thread.
@@ -138,10 +145,4 @@ pub trait MacNode: std::fmt::Debug + Send {
 
     /// A wake requested through [`MacNode::next_activity`] is due.
     fn on_wake(&mut self, _ctx: &mut Ctx<'_>) {}
-
-    /// The simulation horizon was reached (`now == duration`); called
-    /// once per node before residual energy is flushed, so protocols
-    /// that coarsen their schedule can replay idle wakes that were
-    /// still pending when the run ended.
-    fn on_horizon(&mut self, _ctx: &mut Ctx<'_>) {}
 }

@@ -103,12 +103,6 @@ impl ScpNode {
         }
     }
 
-    /// The wake instant for boundary `k` (one startup early).
-    fn lead(&self, ctx: &Ctx<'_>, k: u64) -> SimTime {
-        let at = self.poll_interval.value() * k as f64 - ctx.startup_delay().value();
-        SimTime::from_seconds(Seconds::new(at.max(0.0)))
-    }
-
     /// Polls per sync period (at least one).
     fn sync_every(&self) -> u64 {
         (self.sync_period.value() / self.poll_interval.value()).max(1.0) as u64
@@ -135,11 +129,15 @@ impl MacNode for ScpNode {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         // Spread the periodic sync broadcasts across nodes.
         self.last_sync_boundary = ctx.random_range(0.0, self.sync_every() as f64) as u64;
+        // Boundary `k`'s wake leads it by one startup; no poll is ever
+        // elided, so the clock has no idle pattern.
+        let startup = ctx.startup_delay();
+        ctx.set_wake_clock(self.poll_interval, Seconds::ZERO, startup, []);
         self.next_boundary = 0;
     }
 
     fn next_activity(&mut self, ctx: &mut Ctx<'_>) -> Option<SimTime> {
-        Some(self.lead(ctx, self.next_boundary))
+        Some(ctx.wake_clock().at(self.next_boundary))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {

@@ -27,14 +27,16 @@
 //!   radio until the next sample there ([`Ctx::quiet_until`]). A
 //!   sleeping node with nothing queued and no timer pending jumps over
 //!   every poll whose listen closes before that instant — the jump is
-//!   found in closed form from the poll grid, then checked against it —
-//!   and replays the skipped polls lazily, in one step at its next wake
-//!   or sample or at the horizon, as the startup-and-silence the dense
-//!   polls would have charged. Where a poll outlasts the wake-up
-//!   interval, no poll is replayed.
+//!   found in closed form from its wake clock, then checked against it
+//!   ([`WakeClock::first_reaching`](crate::WakeClock::first_reaching))
+//!   — and owes the skipped polls ([`Ctx::owe_wakes`]): the engine
+//!   charges them, in one step, as the startup-and-silence the dense
+//!   polls would have charged, when the radio next starts up or at the
+//!   horizon. Where a poll outlasts the wake-up interval, no poll is
+//!   owed.
 
 use super::wakes_clear;
-use crate::engine::{first_failing, Ctx, IdleWake, MacNode, WakeMode};
+use crate::engine::{Ctx, IdleWake, MacNode, WakeMode};
 use crate::frame::{Frame, FrameKind, Packet};
 use crate::time::SimTime;
 use edmac_radio::Cause;
@@ -83,16 +85,11 @@ pub(crate) struct XmacNode {
     max_retries: u32,
     coarse: bool,
     /// Whether a poll (startup and listen) ends before the next tick, so
-    /// that quiet polls may be replayed. Fixed at start.
+    /// that quiet polls may be owed. Fixed at start.
     polls_clear: bool,
-    /// Random phase of this node's poll grid, drawn at start.
-    poll_phase: f64,
-    /// Index of the next poll tick on the grid `phase + k·Tw`.
+    /// Index of the next poll tick on the node's wake clock, the grid
+    /// `phase + k·Tw`.
     next_tick: u64,
-    /// First tick not yet polled, skipped while busy, or replayed:
-    /// ticks `replay_from..next_tick` are quiet polls still owed to
-    /// the ledger.
-    replay_from: u64,
     phase: Phase,
     queue: VecDeque<Packet>,
     in_flight: Option<Packet>,
@@ -116,9 +113,7 @@ impl XmacNode {
             max_retries,
             coarse: scheduling == WakeMode::Coarse,
             polls_clear: false,
-            poll_phase: 0.0,
             next_tick: 0,
-            replay_from: 0,
             phase: Phase::Sleeping,
             queue: VecDeque::new(),
             in_flight: None,
@@ -130,49 +125,15 @@ impl XmacNode {
         }
     }
 
-    /// Absolute time of poll tick `k`.
-    fn tick_time(&self, k: u64) -> SimTime {
-        SimTime::from_seconds(Seconds::new(
-            self.poll_phase + self.wakeup.value() * k as f64,
-        ))
-    }
-
-    /// The instant poll `k`'s listen ends: one startup after its tick,
-    /// then the poll listen.
-    fn poll_end(&self, ctx: &Ctx<'_>, k: u64) -> SimTime {
-        self.tick_time(k)
-            .after(ctx.startup_delay())
-            .after(self.poll_listen)
-    }
-
-    /// An idle poll: startup and poll listen in silence, then sleep.
-    fn idle_poll(&self, ctx: &Ctx<'_>) -> IdleWake {
-        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
-        IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(self.poll_listen))
-    }
-
     /// Whether nothing of this node's own can wake its radio: asleep,
     /// nothing queued, no timer pending. Its polls up to
-    /// [`Ctx::quiet_until`] then hear silence, and are replayed if each
+    /// [`Ctx::quiet_until`] then hear silence, and are owed if each
     /// ends before the next tick.
     fn idle(&self, ctx: &Ctx<'_>) -> bool {
         self.polls_clear
             && self.phase == Phase::Sleeping
             && !self.has_pending()
             && ctx.pending_timers() == 0
-    }
-
-    /// Charges, in one step, the quiet polls before tick `to` whose tick
-    /// is due by now.
-    fn replay_polls(&mut self, ctx: &mut Ctx<'_>, to: u64) {
-        let poll = self.idle_poll(ctx);
-        let ticks = self.replay_from..to;
-        self.replay_from = ctx.replay_idle_wakes(
-            ticks,
-            |k| self.tick_time(k),
-            [(poll, Cause::CarrierSense)],
-            |r| [r.end - r.start],
-        );
     }
 
     /// The ack-listen gap after each strobe: turnaround, the ack
@@ -257,10 +218,14 @@ impl XmacNode {
 impl MacNode for XmacNode {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         // Desynchronize poll phases across nodes.
-        self.poll_phase = ctx.random_range(0.0, self.wakeup.value());
+        let phase = Seconds::new(ctx.random_range(0.0, self.wakeup.value()));
         self.polls_clear = wakes_clear(ctx.startup_delay() + self.poll_listen, self.wakeup);
+        // An idle poll: startup and poll listen in silence, then sleep.
+        let nanos = |s: Seconds| SimTime::from_seconds(s).as_nanos();
+        let poll = IdleWake::Listen(nanos(ctx.startup_delay()) + nanos(self.poll_listen));
+        let pattern = [(poll, Cause::CarrierSense)];
+        ctx.set_wake_clock(self.wakeup, phase, Seconds::ZERO, pattern);
         self.next_tick = 0;
-        self.replay_from = 0;
     }
 
     fn holds_packets(&self) -> bool {
@@ -278,37 +243,28 @@ impl MacNode for XmacNode {
             // at exactly `now`: wakes fire before same-time events, so
             // the dense scheduler consumed that tick (still busy)
             // before the callback that just put us to sleep.
-            while self.tick_time(self.next_tick) <= ctx.now() {
-                debug_assert_eq!(
-                    self.replay_from, self.next_tick,
-                    "quiet polls replayed first"
-                );
+            let clock = ctx.wake_clock();
+            while clock.at(self.next_tick) <= ctx.now() {
                 self.next_tick += 1;
-                self.replay_from = self.next_tick;
             }
             if self.idle(ctx) {
-                let quiet = ctx.quiet_until();
-                let listen = ctx.startup_delay() + self.poll_listen;
-                let guess = (quiet.as_seconds() - listen).value() - self.poll_phase;
-                self.next_tick = first_failing(self.next_tick, guess / self.wakeup.value(), |k| {
-                    self.poll_end(ctx, k) < quiet
-                });
+                let to = clock.first_reaching(self.next_tick, ctx.quiet_until());
+                ctx.owe_wakes(self.next_tick..to);
+                self.next_tick = to;
             }
         }
-        Some(self.tick_time(self.next_tick))
+        Some(ctx.wake_clock().at(self.next_tick))
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
         let k = self.next_tick;
         // The poll clock ticks regardless of activity.
         self.next_tick += 1;
-        // A quiet poll is replayed with the quiet polls skipped before
-        // it: it is the first poll of a quiet stretch, asked for while
-        // the network around the node was not yet quiet.
-        let quiet = self.idle(ctx) && self.poll_end(ctx, k) < ctx.quiet_until();
-        self.replay_polls(ctx, if quiet { k + 1 } else { k });
-        self.replay_from = self.next_tick;
-        if quiet {
+        // A quiet poll joins the quiet polls skipped before it: it is
+        // the first poll of a quiet stretch, asked for while the network
+        // around the node was not yet quiet.
+        if self.idle(ctx) && ctx.wake_clock().closes_before(k, ctx.quiet_until()) {
+            ctx.owe_wakes(k..k + 1);
             return;
         }
         if self.phase == Phase::Sleeping {
@@ -472,12 +428,7 @@ impl MacNode for XmacNode {
         }
     }
 
-    fn on_horizon(&mut self, ctx: &mut Ctx<'_>) {
-        self.replay_polls(ctx, self.next_tick);
-    }
-
     fn on_generate(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        self.replay_polls(ctx, self.next_tick);
         self.queue.push_back(packet);
         self.try_begin_tx(ctx);
     }

@@ -9,7 +9,7 @@ mod common;
 use common::{assert_identical, build};
 use edmac_net::Topology;
 use edmac_phy::UnitDisk;
-use edmac_sim::{LmacSim, RunStats, SimConfig, WakeMode};
+use edmac_sim::{DmacSim, LmacSim, RunStats, SimConfig, SimProtocol, WakeMode, XmacSim};
 use edmac_units::Seconds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,5 +58,64 @@ fn coarse_lmac_on_a_deep_ring_fires_a_pinned_few_of_the_dense_wakes() {
         "coarse fired {} of {} dense wakes",
         coarse_stats.wakes_fired,
         dense_stats.wakes_fired
+    );
+}
+
+/// `protocol` on a 6-ring, density-4 ring (145 nodes), a sample a
+/// minute per node, for 60 s: most polls and cycles fall in stretches
+/// where no node near the poller holds a packet, and are replayed.
+fn quiet_ring(
+    protocol: &dyn SimProtocol,
+    scheduling: WakeMode,
+) -> (edmac_sim::SimReport, RunStats) {
+    let mut rng = StdRng::seed_from_u64(61);
+    let ring = Topology::ring_model(6, 4, &mut rng).expect("buildable ring");
+    let cfg = SimConfig {
+        duration: Seconds::new(60.0),
+        sample_period: Seconds::new(60.0),
+        warmup: Seconds::new(5.0),
+        seed: 61,
+        scheduling,
+    };
+    build(&ring, protocol, &UnitDisk, cfg).run_with_stats()
+}
+
+/// Pins the coarse and dense work of `protocol` on [`quiet_ring`].
+fn assert_quiet_ring_work(protocol: &dyn SimProtocol, coarse_work: RunStats, dense_work: RunStats) {
+    let (coarse, coarse_stats) = quiet_ring(protocol, WakeMode::Coarse);
+    let (dense, dense_stats) = quiet_ring(protocol, WakeMode::Dense);
+    let name = protocol.name();
+    assert_identical(&coarse, &dense, &format!("{name} quiet ring"));
+    assert_eq!(coarse_stats, coarse_work, "{name} coarse");
+    assert_eq!(dense_stats, dense_work, "{name} dense");
+}
+
+#[test]
+fn coarse_xmac_on_a_quiet_ring_replays_a_pinned_share_of_its_polls() {
+    assert_quiet_ring_work(
+        &XmacSim::new(Seconds::from_millis(100.0)),
+        RunStats {
+            wakes_fired: 38_557,
+            wakes_replayed: 59_231,
+        },
+        RunStats {
+            wakes_fired: 87_000,
+            wakes_replayed: 0,
+        },
+    );
+}
+
+#[test]
+fn coarse_dmac_on_a_quiet_ring_replays_a_pinned_share_of_its_cycles() {
+    assert_quiet_ring_work(
+        &DmacSim::new(Seconds::new(0.5)),
+        RunStats {
+            wakes_fired: 15_662,
+            wakes_replayed: 4_798,
+        },
+        RunStats {
+            wakes_fired: 17_478,
+            wakes_replayed: 0,
+        },
     );
 }
